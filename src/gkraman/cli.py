@@ -9,7 +9,8 @@ Subcommands::
 
 Configs are flat ``key = value`` text files ('#' starts a comment); lists are
 comma-separated.  Exit codes: 0 success, 1 verification failure, 2 config
-error, 3 divergent state expansion, 4 improbable postselection.
+error or out-of-range value, 3 divergent state expansion, 4 improbable
+postselection.
 """
 
 from __future__ import annotations
@@ -40,14 +41,6 @@ class ConfigError(ValueError):
 # Scenario files
 # ---------------------------------------------------------------------------
 
-def _as_float(text: str) -> float:
-    return float(text)
-
-
-def _as_int(text: str) -> int:
-    return int(text)
-
-
 def _as_complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
 
@@ -71,19 +64,19 @@ def _as_choice(*choices: str):
 _SCHEMA = {
     "spectrum": _as_choice(*sorted(deformation.REGISTRY)),
     "spectrum_table": str,
-    "kappa": _as_float,
-    "z_re": _as_float,
-    "z_im": _as_float,
-    "alpha": _as_float,
+    "kappa": float,
+    "z_re": float,
+    "z_im": float,
+    "alpha": float,
     "family": _as_choice("nonlinear", "gk"),
-    "g1": _as_float,
-    "g2": _as_float,
-    "delta": _as_float,
-    "tau": _as_float,
+    "g1": float,
+    "g2": float,
+    "delta": float,
+    "tau": float,
     "epsilons": _as_complexes,
-    "n_trunc": _as_int,
-    "tail_tol": _as_float,
-    "detection_floor": _as_float,
+    "n_trunc": int,
+    "tail_tol": float,
+    "detection_floor": float,
     "deltas": _as_floats,
     "times": _as_floats,
     "atom_g": _as_complex,
@@ -177,7 +170,8 @@ def cmd_state(config: ScenarioConfig, out_path: str | None) -> int:
     """Dump the requested coherent-state amplitudes as CSV rows (n, Re, Im)."""
     spec = build_spec(config)
     family = config.family or ("gk" if config.alpha != 0.0 else "nonlinear")
-    n_trunc = config.n_trunc or choose_truncation(config.z, spec, config.tail_tol)
+    n_trunc = (choose_truncation(config.z, spec, config.tail_tol)
+               if config.n_trunc is None else config.n_trunc)
     if family == "gk":
         state = gkcs(GKLabel(config.z, config.alpha), spec, n_trunc)
     else:
@@ -193,15 +187,12 @@ def cmd_protocol(config: ScenarioConfig, out_path: str | None) -> int:
     """Run the injection scheme and emit the per-atom / decomposition report."""
     spec = build_spec(config)
     config.require("g1", "g2", "delta", "tau")
-    try:
-        protocol_config = ProtocolConfig(
-            z=config.z, spec=spec,
-            params=RamanParams(config.g1, config.g2, config.delta),
-            tau=config.tau, epsilons=config.epsilons,
-            n_trunc=config.n_trunc, tail_tol=config.tail_tol,
-            detection_floor=config.detection_floor)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    protocol_config = ProtocolConfig(
+        z=config.z, spec=spec,
+        params=RamanParams(config.g1, config.g2, config.delta),
+        tau=config.tau, epsilons=config.epsilons,
+        n_trunc=config.n_trunc, tail_tol=config.tail_tol,
+        detection_floor=config.detection_floor)
     result = run_protocol(protocol_config)
     _write(protocol_report_lines(result), out_path)
     return 0
@@ -213,7 +204,8 @@ def cmd_equivalence(config: ScenarioConfig, out_path: str | None) -> int:
     config.require("g1", "g2")
     if not config.deltas or not config.times:
         raise ConfigError("equivalence needs non-empty 'deltas' and 'times' lists")
-    n_trunc = config.n_trunc or choose_truncation(config.z, spec, config.tail_tol)
+    n_trunc = (choose_truncation(config.z, spec, config.tail_tol)
+               if config.n_trunc is None else config.n_trunc)
     field = nonlinear_cs(config.z, spec, n_trunc)
     rows = equivalence_experiment(config.deltas, config.g1, config.g2, spec, field,
                                   (config.atom_g, config.atom_e), config.times)
@@ -225,7 +217,7 @@ def cmd_verify(config: ScenarioConfig | None, verbose: bool) -> int:
     """Run the invariant suites; exit 0 only when every check passes."""
     extra_specs = []
     results = []
-    if config is not None and (config.spectrum_table is not None or config.spectrum):
+    if config is not None:
         try:
             extra_specs.append(build_spec(config))
         except ConfigError as exc:
@@ -281,15 +273,15 @@ def main(argv=None) -> int:
         handler = {"state": cmd_state, "protocol": cmd_protocol,
                    "equivalence": cmd_equivalence}[args.command]
         return handler(config, out_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except DivergentSeries as exc:
         print(f"divergent series: {exc}", file=sys.stderr)
         return 3
     except DetectionImprobable as exc:
         print(f"detection improbable: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:  # ConfigError, and out-of-range values the model rejects
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -220,15 +220,17 @@ def equivalence_experiment(deltas: Sequence[float], g1: float, g2: float,
         params = RamanParams(g1, g2, delta)
         validity_lhs = 4.0 * spec.e_at(nbar)  # = 4 nbar f^2(nbar)
         violated = validity_lhs >= 0.1 * delta ** 2 / params.coupling_sq_sum
+        # upper-level population at time s: sum_n weight_n sin^2(rabi_n s)
+        rabi = rabi_frequencies(params, spec, field.n_trunc)
+        weight = spec.e_values[:len(rabi)] * abs(g1 * initial.g + g2 * initial.e) ** 2 / rabi ** 2
         for t in times:
             if t == 0.0:
                 rows.append(EquivalenceRow(delta, 0.0, 0.0, 0.0, violated))
                 continue
             phi_i = closed_form_I(initial, params, spec, t)
             phi_eff = closed_form_eff(initial, params, spec, t)
-            leak = max(
-                closed_form_I(initial, params, spec, tau).level_population("i")
-                for tau in np.linspace(0.0, t, leak_samples + 1)[1:])
+            samples = np.linspace(0.0, t, leak_samples + 1)[1:]
+            leak = float(np.max(np.sin(np.outer(samples, rabi)) ** 2 @ weight))
             rows.append(EquivalenceRow(delta, float(t),
                                        _overlap_infidelity(phi_i, phi_eff),
                                        leak, violated))

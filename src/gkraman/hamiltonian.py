@@ -30,10 +30,10 @@ class RamanParams:
     delta: float
 
     def __post_init__(self):
-        if self.g1 <= 0 or self.g2 <= 0:
-            raise ValueError("coupling constants g1, g2 must be positive")
-        if self.delta == 0:
-            raise ValueError("detuning must be nonzero")
+        if not all(np.isfinite(g) and g > 0 for g in (self.g1, self.g2)):
+            raise ValueError("coupling constants g1, g2 must be finite and positive")
+        if not (np.isfinite(self.delta) and self.delta != 0):
+            raise ValueError("detuning must be finite and nonzero")
 
     @property
     def effective_coupling(self) -> float:

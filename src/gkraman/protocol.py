@@ -3,12 +3,12 @@ the cavity into Gazeau-Klauder states and their superpositions.
 
 Each atom enters in (|e> + eps |g>) / sqrt(1 + |eps|^2), interacts for a fixed
 time tau under the equal-coupling effective Hamiltonian, and is postselected
-in |e>; the conditioned field picks up level-dependent phases
-e^{2 i lambda e_n tau} per (1 + eps) component.  The phases accumulate
-additively, one factor per atom, so after m all-eps-one atoms the field is
-the Gazeau-Klauder state with time label alpha_m = -2 m lambda tau, and a
-generic run is a superposition over the labels alpha_1 .. alpha_N plus the
-initial nonlinear state.
+in |e>; this multiplies amplitude n by [(1 + eps) w_n + (1 - eps)] / 2 with
+w_n = e^{2 i lambda e_n tau}.  Since w_n^k times the initial nonlinear state is
+the Gazeau-Klauder state with time label alpha_k = -2 k lambda tau, the field
+after N atoms is a polynomial in w whose coefficients are its exact
+decomposition over alpha_1 .. alpha_N plus the initial nonlinear state; with
+every eps = 1 it is the single Gazeau-Klauder state at alpha_N.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import numpy as np
 
 from .deformation import DeformationSpec
 from .errors import DetectionImprobable, DimensionMismatch, IllConditioned
-from .evolution import closed_form_eff
-from .fockspace import DEFAULT_TAIL_TOL, AtomFieldState, FieldState, choose_truncation, fidelity, normalize
+from .evolution import closed_form_coeffs
+from .fockspace import DEFAULT_TAIL_TOL, FieldState, choose_truncation, fidelity, normalize
 from .hamiltonian import RamanParams
-from .states import GKLabel, gkcs, nonlinear_cs
+from .states import evolve_free, nonlinear_cs
 
 DEFAULT_DETECTION_FLOOR = 1e-6
 
@@ -54,11 +54,13 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.params.g1 != self.params.g2:
             raise ValueError("the injection scheme assumes equal couplings g1 = g2")
-        if self.tau <= 0:
-            raise ValueError("interaction time tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("interaction time tau must be finite and positive")
         if not 0.0 <= self.detection_floor < 1.0:
             raise ValueError("detection_floor must lie in [0, 1)")
         object.__setattr__(self, "epsilons", tuple(complex(e) for e in self.epsilons))
+        if not np.all(np.isfinite(self.epsilons)):
+            raise ValueError("every epsilon must be finite")
 
 
 @dataclass(frozen=True)
@@ -91,14 +93,14 @@ def inject_atom(field: FieldState, epsilon: complex, params: RamanParams,
                 ) -> tuple[float, FieldState]:
     """Interact one atom for time tau and postselect it in |e>.
 
+    The |e> row is the field times the diagonal filter
+    (eps d2_n + d3_n) / sqrt(1 + |eps|^2) of the effective propagator.
     Returns the detection probability and the collapsed (renormalized) field.
     Raises :class:`DetectionImprobable` when the probability falls below
     detection_floor, signalling a practically unreachable postselection branch.
     """
-    scale = 1.0 / math.sqrt(1.0 + abs(epsilon) ** 2)
-    joint = AtomFieldState.product(epsilon * scale, scale, field)
-    evolved = closed_form_eff(joint, params, spec, tau)
-    e_row = evolved.e
+    c = closed_form_coeffs(params, spec, tau, field.n_trunc)
+    e_row = field.amplitudes * (epsilon * c.d2 + c.d3) / math.sqrt(1.0 + abs(epsilon) ** 2)
     p_e = float(np.sum(np.abs(e_row) ** 2))
     if p_e < detection_floor:
         raise DetectionImprobable(
@@ -114,15 +116,18 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     the record stores the detection probability, the collapsed field, the
     Gazeau-Klauder time label alpha_m = -2 m lambda tau (each postselected
     atom advances the label by -2 lambda tau), and the fidelity to the pure
-    Gazeau-Klauder state at that label.  The final field is decomposed over
-    every {|z, alpha_m>} plus the initial nonlinear state.
+    Gazeau-Klauder state at that label.  The final field is decomposed exactly,
+    through its polynomial in w, over every {|z, alpha_m>} plus the initial state.
     """
     spec, params = config.spec, config.params
-    n_trunc = config.n_trunc or choose_truncation(config.z, spec, config.tail_tol)
+    n_trunc = (choose_truncation(config.z, spec, config.tail_tol)
+               if config.n_trunc is None else config.n_trunc)
     lam_tau = params.effective_coupling * config.tau
 
     initial = nonlinear_cs(config.z, spec, n_trunc)
     current = initial
+    poly = np.ones(1, dtype=np.complex128)  # poly[k] weighs components[k] = w^k * initial
+    components = [initial]
     records = []
     for m, eps in enumerate(config.epsilons, start=1):
         try:
@@ -130,23 +135,23 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
                                        config.detection_floor)
         except DetectionImprobable as exc:
             raise DetectionImprobable(f"atom {m}: {exc}", atom_index=m) from None
+        poly = np.convolve(poly, [1 - eps, 1 + eps]) / (2 * math.sqrt(p_e * (1 + abs(eps) ** 2)))
         alpha_m = -2.0 * m * lam_tau
-        reference = gkcs(GKLabel(config.z, alpha_m), spec, n_trunc)
+        components.append(evolve_free(initial, spec, alpha_m))
         records.append(AtomRecord(m, eps, p_e, alpha_m, current,
-                                  fidelity(current, reference)))
+                                  fidelity(current, components[-1])))
 
     labels = [f"alpha_{m}" for m in range(len(records), 0, -1)] + ["nonlinear"]
-    components = [gkcs(GKLabel(config.z, rec.alpha_m), spec, n_trunc)
-                  for rec in reversed(records)] + [initial]
-    coeffs, residual = decompose_superposition(current, components)
+    residual = float(np.linalg.norm(current.amplitudes - poly @ [c.amplitudes for c in components]))
     return ProtocolResult(initial, tuple(records), current, tuple(labels),
-                          tuple(complex(c) for c in coeffs), residual)
+                          tuple(complex(c) for c in poly[::-1]), residual)
 
 
 def decompose_superposition(field: FieldState, components: list[FieldState],
                             ) -> tuple[np.ndarray, float]:
     """Least-squares coefficients of a field over a set of component states.
 
+    ``run_protocol`` decomposes exactly; this numerical route is its oracle.
     Returns (coefficients, residual) minimizing ||field - sum c_k comp_k||.
     Raises :class:`IllConditioned` when the components' Gram matrix has a
     condition number at or above 1e12.

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from gkraman.cli import load_scenario, main
 
@@ -212,6 +213,26 @@ def test_missing_config_file_exit_2(tmp_path):
 def test_duplicate_key_exit_2(tmp_path):
     cfg = _write(tmp_path, "bad.cfg", "z_re = 1\nz_re = 2\n")
     assert main(["state", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("command, base, override", [
+    ("protocol", PROTOCOL_CFG, "tau = nan"),
+    ("protocol", PROTOCOL_CFG, "delta = inf"),
+    ("protocol", PROTOCOL_CFG, "epsilons = nan"),
+    ("protocol", PROTOCOL_CFG, "tail_tol = 2"),
+    ("state", "spectrum = squared\nz_re = 0.8\n", "n_trunc = 0"),
+    ("state", "spectrum = squared\nz_re = 0.8\n", "n_trunc = 100000"),
+    ("equivalence", EQUIV_CFG, "g1 = -1"),
+])
+def test_out_of_range_value_exit_2(tmp_path, capsys, command, base, override):
+    # the overridden key replaces its line in the base scenario, or is appended
+    key = override.split("=")[0].strip()
+    lines = [line for line in base.splitlines() if not line.startswith(key + " ")]
+    cfg = _write(tmp_path, "bad.cfg", "\n".join(lines + [override]) + "\n")
+    assert main([command, "--config", cfg, "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err
 
 
 def test_divergent_series_exit_3(tmp_path, capsys):

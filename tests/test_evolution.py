@@ -287,6 +287,21 @@ def test_equivalence_improves_with_detuning(harmonic_spec):
     assert infids[2] < 1e-4
 
 
+def test_equivalence_leak_matches_sampled_propagation(registry_specs):
+    # reference: the worst upper-level population of full closed_form_I
+    # propagations at the 32 sample times
+    atom = (0.6, 0.48 + 0.64j)
+    for spec in registry_specs:
+        field = nonlinear_cs(1.1, spec, choose_truncation(1.1, spec))
+        initial = AtomFieldState.product(atom[0], atom[1], field)
+        for delta, t in ((4.0, 2.3), (-30.0, 0.7)):
+            params = RamanParams(0.9, 1.4, delta)
+            row = equivalence_experiment([delta], 0.9, 1.4, spec, field, atom, [t])[0]
+            expected = max(closed_form_I(initial, params, spec, s).level_population("i")
+                           for s in np.linspace(0.0, t, 33)[1:])
+            assert abs(row.max_i_population - expected) < 1e-14
+
+
 def test_equivalence_monotone_at_fixed_time(harmonic_spec):
     field = nonlinear_cs(1.0, harmonic_spec, choose_truncation(1.0, harmonic_spec))
     rows = equivalence_experiment([20.0, 60.0, 180.0], 1.0, 1.0, harmonic_spec,

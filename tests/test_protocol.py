@@ -114,15 +114,19 @@ def test_protocol_no_atoms(squared_spec):
     assert res.residual < 1e-12
 
 
-def test_protocol_all_plus_one_walks_the_gk_ladder(squared_spec):
-    cfg = ProtocolConfig(z=Z, spec=squared_spec, params=PARAMS, tau=TAU,
-                         epsilons=(1.0, 1.0, 1.0))
+@pytest.mark.parametrize("spectrum, atoms", [("squared", 3), ("harmonic", 12)])
+def test_protocol_all_plus_one_walks_the_gk_ladder(request, spectrum, atoms):
+    # twelve harmonic GK components are numerically dependent (Gram condition
+    # number ~1e17), so only the exact decomposition can resolve this ladder
+    spec = request.getfixturevalue(f"{spectrum}_spec")
+    cfg = ProtocolConfig(z=Z, spec=spec, params=PARAMS, tau=TAU,
+                         epsilons=(1.0,) * atoms)
     res = run_protocol(cfg)
     for m, rec in enumerate(res.atoms, start=1):
         assert abs(rec.alpha_m - (-2.0 * m * LAM * TAU)) < 1e-15
         assert abs(rec.detection_probability - 0.5) < 1e-12
         assert rec.fidelity_to_gkcs >= 1 - 1e-10
-    target = gkcs(GKLabel(Z, -6 * LAM * TAU), squared_spec, res.final_field.n_trunc)
+    target = gkcs(GKLabel(Z, -2 * atoms * LAM * TAU), spec, res.final_field.n_trunc)
     assert fidelity(res.final_field, target) >= 1 - 1e-10
     # all mass on the top GK component
     assert abs(abs(res.coefficients[0]) - 1.0) < 1e-10
@@ -168,6 +172,12 @@ def test_protocol_three_atom_polynomial_oracle(squared_spec):
     scale = got[0] / predicted[0]
     np.testing.assert_allclose(got, predicted * scale, atol=1e-10)
     assert res.residual < 1e-10
+    # and with a least-squares fit over independently built GK states
+    n_trunc = res.final_field.n_trunc
+    components = [gkcs(GKLabel(Z, rec.alpha_m), squared_spec, n_trunc)
+                  for rec in reversed(res.atoms)] + [nonlinear_cs(Z, squared_spec, n_trunc)]
+    fitted, _ = decompose_superposition(res.final_field, components)
+    np.testing.assert_allclose(got, fitted, atol=1e-9)
 
 
 def test_protocol_four_atom_residual_over_registry(registry_specs):
@@ -224,6 +234,10 @@ def test_protocol_config_validation(squared_spec):
     with pytest.raises(ValueError):
         ProtocolConfig(z=Z, spec=squared_spec, params=PARAMS, tau=TAU, epsilons=(1,),
                        detection_floor=1.5)
+    with pytest.raises(ValueError):
+        ProtocolConfig(z=Z, spec=squared_spec, params=PARAMS, tau=math.nan, epsilons=(1,))
+    with pytest.raises(ValueError):
+        ProtocolConfig(z=Z, spec=squared_spec, params=PARAMS, tau=TAU, epsilons=(1, math.nan))
 
 
 def test_truncation_robustness_of_protocol_fidelities(squared_spec):
