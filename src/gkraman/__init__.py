@@ -11,7 +11,7 @@ from .errors import (DetectionImprobable, DimensionMismatch, DivergentSeries,
 from .evolution import (ClosedFormCoeffs, EquivalenceRow, closed_form_coeffs,
                         closed_form_eff, closed_form_I, equivalence_csv_lines,
                         equivalence_experiment, oracle_evolve, rabi_frequencies,
-                        recommended_steps)
+                        rotating_frame_I)
 from .fockspace import (DEFAULT_TAIL_TOL, LEVELS, AtomFieldState, FieldState,
                         choose_truncation, fidelity, mean_excitation, normalize)
 from .hamiltonian import (JointOperator, RamanParams, build_field_H, build_H_e,
@@ -38,6 +38,6 @@ __all__ = [
     "f_factorial", "f_of_n", "fidelity", "get_spec", "gk_nonlinearity", "gkcs",
     "harmonic", "inject_atom", "load_spectrum_table", "mean_excitation",
     "nonlinear_cs", "normalize", "oracle_evolve", "poschl_teller",
-    "protocol_report_lines", "rabi_frequencies", "recommended_steps",
+    "protocol_report_lines", "rabi_frequencies", "rotating_frame_I",
     "run_protocol", "squared", "tabulated",
 ]

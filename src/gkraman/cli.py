@@ -16,6 +16,7 @@ postselection.
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,12 +46,8 @@ def _as_complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
 
 
-def _as_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _as_complexes(text: str) -> tuple[complex, ...]:
-    return tuple(_as_complex(part) for part in text.split(",") if part.strip())
+def _list_of(convert):
+    return lambda text: tuple(convert(part) for part in text.split(",") if part.strip())
 
 
 def _as_choice(*choices: str):
@@ -73,12 +70,12 @@ _SCHEMA = {
     "g2": float,
     "delta": float,
     "tau": float,
-    "epsilons": _as_complexes,
+    "epsilons": _list_of(_as_complex),
     "n_trunc": int,
     "tail_tol": float,
     "detection_floor": float,
-    "deltas": _as_floats,
-    "times": _as_floats,
+    "deltas": _list_of(float),
+    "times": _list_of(float),
     "atom_g": _as_complex,
     "atom_e": _as_complex,
     "out": str,
@@ -139,7 +136,11 @@ def load_scenario(path) -> ScenarioConfig:
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            values[key] = _SCHEMA[key](value)
+            parsed = _SCHEMA[key](value)
+            numbers = parsed if isinstance(parsed, tuple) else (parsed,)
+            if any(isinstance(x, (float, complex)) and not cmath.isfinite(x) for x in numbers):
+                raise ValueError(f"{value!r} is not finite")
+            values[key] = parsed
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return ScenarioConfig(**values)

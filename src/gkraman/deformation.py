@@ -52,10 +52,11 @@ class DeformationSpec:
         e_values = np.array([float(self.e(int(n))) for n in ns])
         if e_values[0] != 0.0:
             raise NonPhysicalSpectrum(f"spectrum '{self.name}': e_0 = {e_values[0]!r}, expected 0")
-        if np.any(e_values[1:] <= 0.0):
-            bad = int(np.argmax(e_values[1:] <= 0.0)) + 1
+        valid = (e_values[1:] > 0.0) & (e_values[1:] < np.inf)  # NaN fails both
+        if not np.all(valid):
+            bad = int(np.argmin(valid)) + 1
             raise NonPhysicalSpectrum(
-                f"spectrum '{self.name}': e_{bad} = {e_values[bad]!r} is not positive")
+                f"spectrum '{self.name}': e_{bad} = {e_values[bad]!r} is not finite and positive")
         if np.any(np.diff(e_values) <= 0.0):
             bad = int(np.argmax(np.diff(e_values) <= 0.0))
             raise NonPhysicalSpectrum(

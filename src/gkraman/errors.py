@@ -15,7 +15,7 @@ class DivergentSeries(ValueError):
 
 
 class NonPhysicalSpectrum(ValueError):
-    """A spectrum violates e_0 = 0, positivity for n >= 1, or strict monotonicity."""
+    """A spectrum violates e_0 = 0, finite positive e_n for n >= 1, or strict monotonicity."""
 
 
 class InitialExcitedLevel(ValueError):

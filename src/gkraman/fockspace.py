@@ -162,7 +162,7 @@ def choose_truncation(z: complex, spec: "DeformationSpec",
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
-    zsq = abs(z) ** 2
+    zsq = abs(z) * abs(z)  # overflows to inf for huge |z|, where ** 2 would raise
     if zsq == 0.0:
         return 1
 

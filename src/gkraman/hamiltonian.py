@@ -30,10 +30,10 @@ class RamanParams:
     delta: float
 
     def __post_init__(self):
-        if not all(np.isfinite(g) and g > 0 for g in (self.g1, self.g2)):
-            raise ValueError("coupling constants g1, g2 must be finite and positive")
-        if not (np.isfinite(self.delta) and self.delta != 0):
-            raise ValueError("detuning must be finite and nonzero")
+        if not (self.g1 > 0 and self.g2 > 0 and np.isfinite(self.g1 * self.g1 + self.g2 * self.g2)):
+            raise ValueError("coupling constants g1, g2 must be positive with finite g1^2 + g2^2")
+        if not (np.isfinite(self.delta * self.delta) and self.delta != 0):
+            raise ValueError("detuning must be nonzero with finite delta^2")
 
     @property
     def effective_coupling(self) -> float:
@@ -59,7 +59,6 @@ class JointOperator:
     matrix: np.ndarray
     levels: tuple[str, ...]
     n_trunc: int
-    time_dependent: bool = False
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
@@ -77,22 +76,19 @@ def build_H_I(params: RamanParams, spec: DeformationSpec, t: float,
               n_trunc: int) -> JointOperator:
     """Interaction-picture Hamiltonian with intensity-dependent coupling.
 
-    Couples |g,n> <-> |i,n-1> with strength g1 sqrt(n) f(n) e^{+i delta t}
-    (on the <i|..|g> element) and |e,n> <-> |i,n-1> with g2 sqrt(n) f(n);
-    block-diagonal over the excitation sectors {|g,n>, |i,n-1>, |e,n>}.
+    Couples |g,n> <-> |i,n-1> with strength g1 sqrt(n) f(n) and |e,n> <-> |i,n-1>
+    with g2 sqrt(n) f(n), times e^{+i delta t} on the <i| row (the only time
+    dependence); block-diagonal over the excitation sectors {|g,n>, |i,n-1>, |e,n>}.
     """
     spec._check_n(n_trunc - 1)
-    dim = 3 * n_trunc
-    m = np.zeros((dim, dim), dtype=np.complex128)
+    m = np.zeros((3 * n_trunc, 3 * n_trunc), dtype=np.complex128)
     phase = np.exp(1j * params.delta * t)
-    for n in range(1, n_trunc):
-        coupling = np.sqrt(n) * spec.f_values[n]
-        g_n, e_n, i_prev = n, n_trunc + n, 2 * n_trunc + n - 1
-        m[i_prev, g_n] = params.g1 * coupling * phase
-        m[g_n, i_prev] = params.g1 * coupling * np.conj(phase)
-        m[i_prev, e_n] = params.g2 * coupling * phase
-        m[e_n, i_prev] = params.g2 * coupling * np.conj(phase)
-    return JointOperator(m, ("g", "e", "i"), n_trunc, time_dependent=True)
+    n = np.arange(1, n_trunc)
+    coupling = np.sqrt(n) * spec.f_values[1:n_trunc]
+    i_prev = 2 * n_trunc + n - 1
+    m[i_prev, n] = params.g1 * coupling * phase
+    m[i_prev, n_trunc + n] = params.g2 * coupling * phase
+    return JointOperator(m + m.conj().T, ("g", "e", "i"), n_trunc)
 
 
 def build_H_e(params: RamanParams, spec: DeformationSpec, n_trunc: int) -> JointOperator:

@@ -59,8 +59,8 @@ class ProtocolConfig:
         if not 0.0 <= self.detection_floor < 1.0:
             raise ValueError("detection_floor must lie in [0, 1)")
         object.__setattr__(self, "epsilons", tuple(complex(e) for e in self.epsilons))
-        if not np.all(np.isfinite(self.epsilons)):
-            raise ValueError("every epsilon must be finite")
+        if not all(math.isfinite(abs(e) * abs(e)) for e in self.epsilons):
+            raise ValueError("every epsilon must have a finite |epsilon|^2")
 
 
 @dataclass(frozen=True)

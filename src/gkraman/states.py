@@ -56,6 +56,7 @@ def nonlinear_cs(z: complex, spec: DeformationSpec, n_trunc: int) -> FieldState:
     """Nonlinear coherent state with amplitudes proportional to z^n / (sqrt(n!) [f(n)]!)."""
     if n_trunc < 1:
         raise ValueError("n_trunc must be positive")
+    spec._check_n(n_trunc - 1)
     if z == 0:
         return FieldState.fock(0, n_trunc)
     _check_convergence(z, spec)
@@ -73,6 +74,7 @@ def gkcs(label: GKLabel, spec: DeformationSpec, n_trunc: int) -> FieldState:
     """
     if n_trunc < 1:
         raise ValueError("n_trunc must be positive")
+    spec._check_n(n_trunc - 1)
     z = label.z
     if z == 0:
         return FieldState.fock(0, n_trunc)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import deformation, states
 from .deformation import DeformationSpec, deformed_lower
-from .evolution import closed_form_eff, closed_form_I, oracle_evolve
+from .evolution import closed_form_eff, closed_form_I, oracle_evolve, rotating_frame_I
 from .fockspace import AtomFieldState, choose_truncation, fidelity
 from .hamiltonian import (RamanParams, build_field_H, build_H_e, build_H_eff,
                           build_H_I, build_H_s)
@@ -141,7 +141,7 @@ def hermiticity_suite(specs: Sequence[DeformationSpec], draws: int = 10,
 
 def propagator_suite(specs: Sequence[DeformationSpec], draws: int = 5,
                      seed: int = 23) -> list[CheckResult]:
-    """Closed forms vs the stepping oracle / exact exponentiation; unitarity."""
+    """Closed forms vs exact exponentials of their generators; unitarity."""
     rng = np.random.default_rng(seed)
     worst_int = 0.0
     worst_eff = 0.0
@@ -159,12 +159,8 @@ def propagator_suite(specs: Sequence[DeformationSpec], draws: int = 5,
         t = rng.uniform(0.1, 0.4)
 
         exact = closed_form_I(initial, params, spec, t)
-        # midpoint-propagator error ~ K delta t^3 / steps^2 with K <~ 1;
-        # budget for ~2.5e-8, well under the 1e-6 agreement tolerance
-        steps = max(200, math.ceil(math.sqrt(4.0 * params.delta * t ** 3 / 2.5e-8)))
-        stepped = oracle_evolve(lambda tm: build_H_I(params, spec, tm, n_trunc),
-                                initial, t, steps)
-        worst_int = max(worst_int, float(np.linalg.norm(exact.amplitudes - stepped.amplitudes)))
+        oracle = rotating_frame_I(initial, params, spec, t)
+        worst_int = max(worst_int, float(np.linalg.norm(exact.amplitudes - oracle.amplitudes)))
         worst_norm = max(worst_norm, abs(np.linalg.norm(exact.amplitudes) - 1.0))
 
         eff = closed_form_eff(initial, params, spec, t)
@@ -173,7 +169,7 @@ def propagator_suite(specs: Sequence[DeformationSpec], draws: int = 5,
         worst_eff = max(worst_eff, float(np.linalg.norm(eff.amplitudes - eff_oracle.amplitudes)))
         worst_norm = max(worst_norm, abs(np.linalg.norm(eff.amplitudes) - 1.0))
     return [CheckResult("propagators", f"interaction closed form vs oracle ({draws} draws)",
-                        worst_int, 1e-6),
+                        worst_int, 1e-12),
             CheckResult("propagators", "effective closed form vs exact exponential",
                         worst_eff, 1e-10),
             CheckResult("propagators", "unitarity of closed forms", worst_norm, 1e-10)]

