@@ -22,25 +22,8 @@ from .hamiltonian import JointOperator, RamanParams, build_H_I
 
 _FMT = "{:.15g}".format
 
-
-@dataclass(frozen=True, eq=False)
-class ClosedFormCoeffs:
-    """Per-photon-number propagator coefficients at a fixed time.
-
-    a1..a3, b1, b2 assemble the interaction-picture sector map
-    (g, e) -> (g, i, e); d1..d3 the effective two-level map.  rabi holds the
-    generalized Rabi frequencies sqrt(n f^2(n) G + delta^2 / 4).
-    """
-
-    rabi: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-    a3: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
+#: Sample times in (0, t] over which the equivalence leak is maximized.
+_LEAK_SAMPLES = 32
 
 
 def rabi_frequencies(params: RamanParams, spec: DeformationSpec, n_trunc: int) -> np.ndarray:
@@ -50,54 +33,22 @@ def rabi_frequencies(params: RamanParams, spec: DeformationSpec, n_trunc: int) -
     return np.sqrt(e_vals * params.coupling_sq_sum + 0.25 * params.delta ** 2)
 
 
-def closed_form_coeffs(params: RamanParams, spec: DeformationSpec, t: float,
-                       n_trunc: int) -> ClosedFormCoeffs:
-    """Evaluate all sector coefficients at time t.
-
-    The n = 0 sector (and t = 0) is set to the identity exactly, not through
-    the trigonometric expressions, so vacuum amplitudes pass through
-    bit-identically.
-    """
+def _effective_coeffs(params: RamanParams, spec: DeformationSpec, t: float,
+                      n_trunc: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Effective sector map [[d1, d2], [d2, d3]] at time t, per photon number."""
     spec._check_n(n_trunc - 1)
     e_vals = spec.e_values[:n_trunc]
-    n = n_trunc
-    if t == 0.0:
-        one = np.ones(n, dtype=np.complex128)
-        zero = np.zeros(n, dtype=np.complex128)
-        return ClosedFormCoeffs(rabi_frequencies(params, spec, n),
-                                one, zero, one.copy(), zero.copy(), zero.copy(),
-                                one.copy(), zero.copy(), one.copy())
-
-    g1, g2, delta = params.g1, params.g2, params.delta
-    big_g = params.coupling_sq_sum
-    rabi = rabi_frequencies(params, spec, n)
-
-    cos_r = np.cos(rabi * t)
-    sin_r = np.sin(rabi * t)
-    half_neg = np.exp(-0.5j * delta * t)
-    half_pos = np.exp(0.5j * delta * t)
-
-    a1 = half_neg * ((g2 ** 2 / big_g) * half_pos + (g1 ** 2 / big_g) * cos_r
-                     + 1j * delta * g1 ** 2 / (2.0 * rabi * big_g) * sin_r)
-    a2 = half_neg * ((-g1 * g2 / big_g) * half_pos + (g1 * g2 / big_g) * cos_r
-                     + 1j * delta * g1 * g2 / (2.0 * rabi * big_g) * sin_r)
-    a3 = half_neg * ((g1 ** 2 / big_g) * half_pos + (g2 ** 2 / big_g) * cos_r
-                     + 1j * delta * g2 ** 2 / (2.0 * rabi * big_g) * sin_r)
-    b1 = half_pos * (-1j * g1 * np.sqrt(e_vals) / rabi * sin_r)
-    b2 = half_pos * (-1j * g2 * np.sqrt(e_vals) / rabi * sin_r)
-
-    phase = np.exp(1j * e_vals * big_g * t / delta)
+    g1, g2, big_g = params.g1, params.g2, params.coupling_sq_sum
+    phase = np.exp(1j * e_vals * big_g * t / params.delta)
     d1 = (g2 ** 2 + g1 ** 2 * phase) / big_g
     d2 = g1 * g2 * (phase - 1.0) / big_g
     d3 = (g1 ** 2 + g2 ** 2 * phase) / big_g
-
-    # Sectors with n f^2(n) = 0 (only n = 0) are exactly stationary.
-    rest = e_vals == 0.0
-    for arr in (a1, a3, d1, d3):
-        arr[rest] = 1.0
-    for arr in (a2, b1, b2, d2):
-        arr[rest] = 0.0
-    return ClosedFormCoeffs(rabi, a1, a2, a3, b1, b2, d1, d2, d3)
+    # The n = 0 sector (n f^2(n) = 0) and every sector at t = 0 are the identity
+    # exactly, so those amplitudes pass through bit-identically.
+    rest = (e_vals == 0.0) | (t == 0.0)
+    d1[rest] = d3[rest] = 1.0
+    d2[rest] = 0.0
+    return d1, d2, d3
 
 
 def _require_lower_levels(state: AtomFieldState):
@@ -115,12 +66,36 @@ def closed_form_I(initial: AtomFieldState, params: RamanParams, spec: Deformatio
     time-dependent, so results at different times must each be taken from 0.
     """
     _require_lower_levels(initial)
-    c = closed_form_coeffs(params, spec, t, initial.n_trunc)
+    n = initial.n_trunc
+    rabi = rabi_frequencies(params, spec, n)
+    e_vals = spec.e_values[:n]
+    g1, g2, delta = params.g1, params.g2, params.delta
+    big_g = params.coupling_sq_sum
+
+    cos_r = np.cos(rabi * t)
+    sin_r = np.sin(rabi * t)
+    half_neg = np.exp(-0.5j * delta * t)
+    half_pos = np.exp(0.5j * delta * t)
+
+    # Sector map (g, e) -> (g, i, e): [[a1, a2], [b1, b2], [a2, a3]].
+    a1 = half_neg * ((g2 ** 2 / big_g) * half_pos + (g1 ** 2 / big_g) * cos_r
+                     + 1j * delta * g1 ** 2 / (2.0 * rabi * big_g) * sin_r)
+    a2 = half_neg * ((-g1 * g2 / big_g) * half_pos + (g1 * g2 / big_g) * cos_r
+                     + 1j * delta * g1 * g2 / (2.0 * rabi * big_g) * sin_r)
+    a3 = half_neg * ((g1 ** 2 / big_g) * half_pos + (g2 ** 2 / big_g) * cos_r
+                     + 1j * delta * g2 ** 2 / (2.0 * rabi * big_g) * sin_r)
+    b1 = half_pos * (-1j * g1 * np.sqrt(e_vals) / rabi * sin_r)
+    b2 = half_pos * (-1j * g2 * np.sqrt(e_vals) / rabi * sin_r)
+    # As in _effective_coeffs: n = 0 and t = 0 are the identity exactly.
+    rest = (e_vals == 0.0) | (t == 0.0)
+    a1[rest] = a3[rest] = 1.0
+    a2[rest] = b1[rest] = b2[rest] = 0.0
+
     g0, e0 = initial.g, initial.e
     new = np.zeros_like(initial.amplitudes)
-    new[0] = c.a1 * g0 + c.a2 * e0
-    new[1] = c.a2 * g0 + c.a3 * e0
-    new[2, :-1] = (c.b1 * g0 + c.b2 * e0)[1:]
+    new[0] = a1 * g0 + a2 * e0
+    new[1] = a2 * g0 + a3 * e0
+    new[2, :-1] = (b1 * g0 + b2 * e0)[1:]
     return AtomFieldState(new)
 
 
@@ -128,11 +103,11 @@ def closed_form_eff(initial: AtomFieldState, params: RamanParams, spec: Deformat
                     t: float) -> AtomFieldState:
     """Propagate under the modified effective Hamiltonian from t = 0 to t."""
     _require_lower_levels(initial)
-    c = closed_form_coeffs(params, spec, t, initial.n_trunc)
+    d1, d2, d3 = _effective_coeffs(params, spec, t, initial.n_trunc)
     g0, e0 = initial.g, initial.e
     new = np.zeros_like(initial.amplitudes)
-    new[0] = c.d1 * g0 + c.d2 * e0
-    new[1] = c.d2 * g0 + c.d3 * e0
+    new[0] = d1 * g0 + d2 * e0
+    new[1] = d2 * g0 + d3 * e0
     return AtomFieldState(new)
 
 
@@ -203,13 +178,13 @@ def _overlap_infidelity(a: AtomFieldState, b: AtomFieldState) -> float:
 
 def equivalence_experiment(deltas: Sequence[float], g1: float, g2: float,
                            spec: DeformationSpec, field: FieldState,
-                           atom: tuple[complex, complex], times: Sequence[float],
-                           leak_samples: int = 32) -> list[EquivalenceRow]:
+                           atom: tuple[complex, complex],
+                           times: Sequence[float]) -> list[EquivalenceRow]:
     """Compare the two exact propagators over a detuning grid.
 
     For each (delta, t) the row records the infidelity between the
     interaction-picture and effective states, the worst upper-level
-    population encountered while evolving up to t (leakage the effective
+    population over equally spaced times in (0, t] (leakage the effective
     description discards), and whether the large-detuning validity
     condition 4 nbar f^2(nbar) < 0.1 delta^2 / G was violated.
     """
@@ -229,7 +204,7 @@ def equivalence_experiment(deltas: Sequence[float], g1: float, g2: float,
                 continue
             phi_i = closed_form_I(initial, params, spec, t)
             phi_eff = closed_form_eff(initial, params, spec, t)
-            samples = np.linspace(0.0, t, leak_samples + 1)[1:]
+            samples = np.linspace(0.0, t, _LEAK_SAMPLES + 1)[1:]
             leak = float(np.max(np.sin(np.outer(samples, rabi)) ** 2 @ weight))
             rows.append(EquivalenceRow(delta, float(t),
                                        _overlap_infidelity(phi_i, phi_eff),

@@ -107,10 +107,11 @@ class AtomFieldState:
         return float(np.sum(np.abs(row) ** 2))
 
     @classmethod
-    def product(cls, c_g: complex, c_e: complex, field: FieldState,
-                c_i: complex = 0.0) -> "AtomFieldState":
-        """Product state (c_g|g> + c_e|e> + c_i|i>) (x) field, renormalized."""
-        atom = np.array([c_g, c_e, c_i], dtype=np.complex128)
+    def product(cls, c_g: complex, c_e: complex, field: FieldState) -> "AtomFieldState":
+        """Product state (c_g|g> + c_e|e>) (x) field, renormalized."""
+        if not math.isfinite(abs(c_g) * abs(c_g) + abs(c_e) * abs(c_e)):
+            raise ValueError("atom amplitudes are too large: |c_g|^2 + |c_e|^2 is not finite")
+        atom = np.array([c_g, c_e, 0.0], dtype=np.complex128)
         return normalize(np.outer(atom, field.amplitudes))
 
 

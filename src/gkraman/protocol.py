@@ -20,7 +20,7 @@ import numpy as np
 
 from .deformation import DeformationSpec
 from .errors import DetectionImprobable, DimensionMismatch, IllConditioned
-from .evolution import closed_form_coeffs
+from .evolution import _effective_coeffs
 from .fockspace import DEFAULT_TAIL_TOL, FieldState, choose_truncation, fidelity, normalize
 from .hamiltonian import RamanParams
 from .states import evolve_free, nonlinear_cs
@@ -99,8 +99,8 @@ def inject_atom(field: FieldState, epsilon: complex, params: RamanParams,
     Raises :class:`DetectionImprobable` when the probability falls below
     detection_floor, signalling a practically unreachable postselection branch.
     """
-    c = closed_form_coeffs(params, spec, tau, field.n_trunc)
-    e_row = field.amplitudes * (epsilon * c.d2 + c.d3) / math.sqrt(1.0 + abs(epsilon) ** 2)
+    _, d2, d3 = _effective_coeffs(params, spec, tau, field.n_trunc)
+    e_row = field.amplitudes * (epsilon * d2 + d3) / math.sqrt(1.0 + abs(epsilon) ** 2)
     p_e = float(np.sum(np.abs(e_row) ** 2))
     if p_e < detection_floor:
         raise DetectionImprobable(

@@ -52,8 +52,9 @@ def _magnitudes(z_abs: float, spec: DeformationSpec, n_trunc: int) -> np.ndarray
     return mags / np.linalg.norm(mags)
 
 
-def nonlinear_cs(z: complex, spec: DeformationSpec, n_trunc: int) -> FieldState:
-    """Nonlinear coherent state with amplitudes proportional to z^n / (sqrt(n!) [f(n)]!)."""
+def _coherent_state(z: complex, alpha: float, spec: DeformationSpec,
+                    n_trunc: int) -> FieldState:
+    """Amplitudes proportional to z^n e^{-i alpha e_n} / (sqrt(n!) [f(n)]!)."""
     if n_trunc < 1:
         raise ValueError("n_trunc must be positive")
     spec._check_n(n_trunc - 1)
@@ -61,8 +62,13 @@ def nonlinear_cs(z: complex, spec: DeformationSpec, n_trunc: int) -> FieldState:
         return FieldState.fock(0, n_trunc)
     _check_convergence(z, spec)
     mags = _magnitudes(abs(z), spec, n_trunc)
-    phases = np.exp(1j * np.arange(n_trunc) * cmath.phase(z))
-    return FieldState(mags * phases)
+    angles = np.arange(n_trunc) * cmath.phase(z) - alpha * spec.e_values[:n_trunc]
+    return FieldState(mags * np.exp(1j * angles))
+
+
+def nonlinear_cs(z: complex, spec: DeformationSpec, n_trunc: int) -> FieldState:
+    """Nonlinear coherent state with amplitudes proportional to z^n / (sqrt(n!) [f(n)]!)."""
+    return _coherent_state(z, 0.0, spec, n_trunc)
 
 
 def gkcs(label: GKLabel, spec: DeformationSpec, n_trunc: int) -> FieldState:
@@ -72,16 +78,7 @@ def gkcs(label: GKLabel, spec: DeformationSpec, n_trunc: int) -> FieldState:
     phases depend on alpha.  alpha = 0 reproduces the sqrt([e_n]!)-weighted
     state exactly.
     """
-    if n_trunc < 1:
-        raise ValueError("n_trunc must be positive")
-    spec._check_n(n_trunc - 1)
-    z = label.z
-    if z == 0:
-        return FieldState.fock(0, n_trunc)
-    _check_convergence(z, spec)
-    mags = _magnitudes(abs(z), spec, n_trunc)
-    angles = np.arange(n_trunc) * cmath.phase(z) - label.alpha * spec.e_values[:n_trunc]
-    return FieldState(mags * np.exp(1j * angles))
+    return _coherent_state(label.z, label.alpha, spec, n_trunc)
 
 
 def gk_nonlinearity(alpha: float, n: int, spec: DeformationSpec) -> complex:

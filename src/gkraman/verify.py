@@ -27,6 +27,9 @@ from .states import GKLabel, evolve_free, gkcs, nonlinear_cs
 #: Tight tail tolerance so truncation edges never dominate residuals.
 _EDGE_TAIL_TOL = 1e-20
 
+#: Coherent-state labels probed by the eigenstate and action-identity suites.
+_Z_VALUES = (0.3, 0.8, 1.2)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -60,12 +63,11 @@ def spectrum_suite(specs: Sequence[DeformationSpec]) -> list[CheckResult]:
     return out
 
 
-def eigenstate_suite(specs: Sequence[DeformationSpec],
-                     z_values: Sequence[float] = (0.3, 0.8, 1.2)) -> list[CheckResult]:
+def eigenstate_suite(specs: Sequence[DeformationSpec]) -> list[CheckResult]:
     """||a f(n) |z,f> - z |z,f>|| on a tight truncation."""
     out = []
     for spec in specs:
-        for z in z_values:
+        for z in _Z_VALUES:
             n_trunc = choose_truncation(z, spec, _EDGE_TAIL_TOL)
             state = nonlinear_cs(z, spec, n_trunc)
             residual = float(np.linalg.norm(
@@ -96,20 +98,18 @@ def temporal_stability_suite(specs: Sequence[DeformationSpec]) -> list[CheckResu
     return out
 
 
-def action_identity_suite(specs: Sequence[DeformationSpec],
-                          z_values: Sequence[float] = (0.3, 0.8, 1.2)) -> list[CheckResult]:
+def action_identity_suite(specs: Sequence[DeformationSpec]) -> list[CheckResult]:
     out = []
     for spec in specs:
-        for z in z_values:
+        for z in _Z_VALUES:
             gap = abs(states.action_identity_check(GKLabel(z, 0.25), spec) - z ** 2)
             out.append(CheckResult("action-identity", f"{spec.name}, z={z:g}", gap, 1e-8))
     return out
 
 
-def hermiticity_suite(specs: Sequence[DeformationSpec], draws: int = 10,
-                      seed: int = 11) -> list[CheckResult]:
+def hermiticity_suite(specs: Sequence[DeformationSpec]) -> list[CheckResult]:
     """Hermiticity of every builder and sector block structure of H_I."""
-    rng = np.random.default_rng(seed)
+    draws, rng = 10, np.random.default_rng(11)
     n_trunc = 12
     worst_herm = 0.0
     worst_block = 0.0
@@ -139,10 +139,9 @@ def hermiticity_suite(specs: Sequence[DeformationSpec], draws: int = 10,
                         worst_block, 1e-15)]
 
 
-def propagator_suite(specs: Sequence[DeformationSpec], draws: int = 5,
-                     seed: int = 23) -> list[CheckResult]:
+def propagator_suite(specs: Sequence[DeformationSpec]) -> list[CheckResult]:
     """Closed forms vs exact exponentials of their generators; unitarity."""
-    rng = np.random.default_rng(seed)
+    draws, rng = 5, np.random.default_rng(23)
     worst_int = 0.0
     worst_eff = 0.0
     worst_norm = 0.0
@@ -175,9 +174,9 @@ def propagator_suite(specs: Sequence[DeformationSpec], draws: int = 5,
             CheckResult("propagators", "unitarity of closed forms", worst_norm, 1e-10)]
 
 
-def collapse_suite(spec: DeformationSpec | None = None) -> list[CheckResult]:
+def collapse_suite() -> list[CheckResult]:
     """Single-atom postselection: eps = +1 makes a GK state, eps = -1 is inert."""
-    spec = spec or deformation.squared()
+    spec = deformation.squared()
     params = RamanParams(g1=1.0, g2=1.0, delta=40.0)
     z, tau = 0.8, 0.6
     n_trunc = choose_truncation(z, spec)

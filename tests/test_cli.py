@@ -252,6 +252,7 @@ def test_duplicate_key_exit_2(tmp_path):
     ("equivalence", EQUIV_CFG, "g1 = 1e300"),
     ("equivalence", EQUIV_CFG, "deltas = 1e300"),
     ("protocol", PROTOCOL_CFG, "epsilons = 1e300j"),
+    ("equivalence", EQUIV_CFG, "atom_e = 1e300j"),
 ])
 def test_out_of_range_value_exit_2(tmp_path, capsys, command, base, override):
     # the overridden key replaces its line in the base scenario, or is appended

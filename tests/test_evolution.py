@@ -6,8 +6,8 @@ import pytest
 from scipy.linalg import expm
 
 from gkraman.errors import InitialExcitedLevel
-from gkraman.evolution import (EquivalenceRow, closed_form_coeffs, closed_form_eff,
-                               closed_form_I, equivalence_csv_lines,
+from gkraman.evolution import (EquivalenceRow, closed_form_eff, closed_form_I,
+                               equivalence_csv_lines,
                                equivalence_experiment, oracle_evolve,
                                rabi_frequencies, rotating_frame_I)
 from gkraman.fockspace import AtomFieldState, FieldState, choose_truncation, fidelity
@@ -34,12 +34,14 @@ def _random_joint_state(rng, spec, z_mag):
 # ---------------------------------------------------------------------------
 
 def test_coeffs_identity_at_t_zero(squared_spec):
-    p = RamanParams(1.4, 0.6, 18.0)
-    c = closed_form_coeffs(p, squared_spec, 0.0, 8)
-    for arr in (c.a1, c.a3, c.d1, c.d3):
-        assert np.all(arr == 1.0)
-    for arr in (c.a2, c.b1, c.b2, c.d2):
-        assert np.all(arr == 0.0)
+    # both sector maps are the identity at t = 0, exactly
+    rng = np.random.default_rng(3)
+    initial = _random_joint_state(rng, squared_spec, 0.8)
+    for delta in (18.0, -18.0):
+        p = RamanParams(1.4, 0.6, delta)
+        for propagate in (closed_form_I, closed_form_eff):
+            out = propagate(initial, p, squared_spec, 0.0)
+            np.testing.assert_array_equal(out.amplitudes, initial.amplitudes)
 
 
 def test_rabi_frequencies_positive_and_match_definition(registry_specs):
@@ -52,19 +54,19 @@ def test_rabi_frequencies_positive_and_match_definition(registry_specs):
 
 
 def test_sector_maps_are_isometries(registry_specs):
-    # the (g,e) -> (g,i,e) interaction map and the 2x2 effective map preserve norm
+    # the (g,e) -> (g,i,e) interaction map and the 2x2 effective map preserve
+    # norm: their images of the |g,n>, |e,n> basis are orthonormal
     rng = np.random.default_rng(7)
+    n_trunc = 12
+    basis = [AtomFieldState.product(c_g, c_e, FieldState.fock(n, n_trunc))
+             for c_g, c_e in ((1.0, 0.0), (0.0, 1.0)) for n in range(n_trunc)]
     for _ in range(50):
         spec = registry_specs[rng.integers(len(registry_specs))]
         p = RamanParams(rng.uniform(0.5, 2), rng.uniform(0.5, 2), rng.uniform(5, 50))
-        c = closed_form_coeffs(p, spec, rng.uniform(0, 3), 12)
-        for n in range(12):
-            m_int = np.array([[c.a1[n], c.a2[n]],
-                              [c.b1[n], c.b2[n]],
-                              [c.a2[n], c.a3[n]]])
-            np.testing.assert_allclose(m_int.conj().T @ m_int, np.eye(2), atol=1e-10)
-            m_eff = np.array([[c.d1[n], c.d2[n]], [c.d2[n], c.d3[n]]])
-            np.testing.assert_allclose(m_eff.conj().T @ m_eff, np.eye(2), atol=1e-10)
+        t = rng.uniform(0, 3)
+        for propagate in (closed_form_I, closed_form_eff):
+            cols = np.column_stack([propagate(b, p, spec, t).amplitudes.ravel() for b in basis])
+            np.testing.assert_allclose(cols.conj().T @ cols, np.eye(2 * n_trunc), atol=1e-10)
 
 
 def test_rabi_large_detuning_taylor_bounds(harmonic_spec):
