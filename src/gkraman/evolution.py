@@ -33,9 +33,9 @@ def rabi_frequencies(params: RamanParams, spec: DeformationSpec, n_trunc: int) -
     return np.sqrt(e_vals * params.coupling_sq_sum + 0.25 * params.delta ** 2)
 
 
-def _effective_coeffs(params: RamanParams, spec: DeformationSpec, t: float,
+def _effective_coeffs(params: RamanParams, spec: DeformationSpec, t: float | np.ndarray,
                       n_trunc: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Effective sector map [[d1, d2], [d2, d3]] at time t, per photon number."""
+    """Effective sector map [[d1, d2], [d2, d3]] at time t (or a (T, 1) column), per n."""
     spec._check_n(n_trunc - 1)
     e_vals = spec.e_values[:n_trunc]
     g1, g2, big_g = params.g1, params.g2, params.coupling_sq_sum
@@ -58,17 +58,12 @@ def _require_lower_levels(state: AtomFieldState):
             "the upper-level amplitudes must be exactly zero")
 
 
-def closed_form_I(initial: AtomFieldState, params: RamanParams, spec: DeformationSpec,
-                  t: float) -> AtomFieldState:
-    """Propagate under the interaction-picture Hamiltonian from t = 0 to t.
-
-    Valid only from a state with no upper-level population; the generator is
-    time-dependent, so results at different times must each be taken from 0.
-    """
-    _require_lower_levels(initial)
-    n = initial.n_trunc
-    rabi = rabi_frequencies(params, spec, n)
-    e_vals = spec.e_values[:n]
+def _interaction_coeffs(params: RamanParams, spec: DeformationSpec, t: float | np.ndarray,
+                        n_trunc: int) -> tuple[np.ndarray, ...]:
+    """Interaction-picture sector map (g, e) -> (g, i, e), [[a1, a2], [b1, b2], [a2, a3]],
+    at time t (or a (T, 1) column), per photon number."""
+    rabi = rabi_frequencies(params, spec, n_trunc)
+    e_vals = spec.e_values[:n_trunc]
     g1, g2, delta = params.g1, params.g2, params.delta
     big_g = params.coupling_sq_sum
 
@@ -77,7 +72,6 @@ def closed_form_I(initial: AtomFieldState, params: RamanParams, spec: Deformatio
     half_neg = np.exp(-0.5j * delta * t)
     half_pos = np.exp(0.5j * delta * t)
 
-    # Sector map (g, e) -> (g, i, e): [[a1, a2], [b1, b2], [a2, a3]].
     a1 = half_neg * ((g2 ** 2 / big_g) * half_pos + (g1 ** 2 / big_g) * cos_r
                      + 1j * delta * g1 ** 2 / (2.0 * rabi * big_g) * sin_r)
     a2 = half_neg * ((-g1 * g2 / big_g) * half_pos + (g1 * g2 / big_g) * cos_r
@@ -90,7 +84,18 @@ def closed_form_I(initial: AtomFieldState, params: RamanParams, spec: Deformatio
     rest = (e_vals == 0.0) | (t == 0.0)
     a1[rest] = a3[rest] = 1.0
     a2[rest] = b1[rest] = b2[rest] = 0.0
+    return a1, a2, a3, b1, b2
 
+
+def closed_form_I(initial: AtomFieldState, params: RamanParams, spec: DeformationSpec,
+                  t: float) -> AtomFieldState:
+    """Propagate under the interaction-picture Hamiltonian from t = 0 to t.
+
+    Valid only from a state with no upper-level population; the generator is
+    time-dependent, so results at different times must each be taken from 0.
+    """
+    _require_lower_levels(initial)
+    a1, a2, a3, b1, b2 = _interaction_coeffs(params, spec, t, initial.n_trunc)
     g0, e0 = initial.g, initial.e
     new = np.zeros_like(initial.amplitudes)
     new[0] = a1 * g0 + a2 * e0
@@ -170,12 +175,6 @@ class EquivalenceRow:
     validity_violated: bool
 
 
-def _overlap_infidelity(a: AtomFieldState, b: AtomFieldState) -> float:
-    num = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
-    den = np.vdot(a.amplitudes, a.amplitudes).real * np.vdot(b.amplitudes, b.amplitudes).real
-    return max(0.0, 1.0 - num / den)
-
-
 def equivalence_experiment(deltas: Sequence[float], g1: float, g2: float,
                            spec: DeformationSpec, field: FieldState,
                            atom: tuple[complex, complex],
@@ -189,26 +188,35 @@ def equivalence_experiment(deltas: Sequence[float], g1: float, g2: float,
     condition 4 nbar f^2(nbar) < 0.1 delta^2 / G was violated.
     """
     initial = AtomFieldState.product(atom[0], atom[1], field)
+    g0, e0, n = initial.g, initial.e, initial.n_trunc
     nbar = mean_excitation(field)
+    times = np.asarray(times, dtype=float)
+    live = times != 0.0  # t = 0 rows (also t = -0.0) are exactly zero
+    t = times[live, None]
+    samples = np.linspace(0.0, times[live], _LEAK_SAMPLES + 1, axis=1)[:, 1:, None]
+    population = np.empty((len(t), _LEAK_SAMPLES, n))  # reused for every delta
     rows = []
     for delta in deltas:
         params = RamanParams(g1, g2, delta)
         validity_lhs = 4.0 * spec.e_at(nbar)  # = 4 nbar f^2(nbar)
         violated = validity_lhs >= 0.1 * delta ** 2 / params.coupling_sq_sum
+        a1, a2, a3, b1, b2 = _interaction_coeffs(params, spec, t, n)
+        d1, d2, d3 = _effective_coeffs(params, spec, t, n)
+        # (T, level, n); the effective picture leaves the upper level i empty
+        phi_i = np.stack((a1 * g0 + a2 * e0, a2 * g0 + a3 * e0, b1 * g0 + b2 * e0), axis=1)
+        phi_eff = np.stack((d1 * g0 + d2 * e0, d2 * g0 + d3 * e0), axis=1)
+        overlap = np.sum(phi_i[:, :2].conj() * phi_eff, axis=(1, 2))
+        norms = np.sum(np.abs(phi_i) ** 2, axis=(1, 2)) * np.sum(np.abs(phi_eff) ** 2, axis=(1, 2))
         # upper-level population at time s: sum_n weight_n sin^2(rabi_n s)
-        rabi = rabi_frequencies(params, spec, field.n_trunc)
-        weight = spec.e_values[:len(rabi)] * abs(g1 * initial.g + g2 * initial.e) ** 2 / rabi ** 2
-        for t in times:
-            if t == 0.0:
-                rows.append(EquivalenceRow(delta, 0.0, 0.0, 0.0, violated))
-                continue
-            phi_i = closed_form_I(initial, params, spec, t)
-            phi_eff = closed_form_eff(initial, params, spec, t)
-            samples = np.linspace(0.0, t, _LEAK_SAMPLES + 1)[1:]
-            leak = float(np.max(np.sin(np.outer(samples, rabi)) ** 2 @ weight))
-            rows.append(EquivalenceRow(delta, float(t),
-                                       _overlap_infidelity(phi_i, phi_eff),
-                                       leak, violated))
+        rabi = rabi_frequencies(params, spec, n)
+        weight = spec.e_values[:n] * abs(g1 * g0 + g2 * e0) ** 2 / rabi ** 2
+        np.square(np.sin(np.multiply(samples, rabi, out=population), out=population),
+                  out=population)
+        infidelity, leak = np.zeros((2, len(times)))
+        infidelity[live] = np.maximum(0.0, 1.0 - np.abs(overlap) ** 2 / norms)
+        leak[live] = np.max(population @ weight, axis=1)
+        rows += [EquivalenceRow(delta, float(s) if s else 0.0, float(f), float(p), violated)
+                 for s, f, p in zip(times, infidelity, leak)]
     return rows
 
 

@@ -111,7 +111,9 @@ class AtomFieldState:
         """Product state (c_g|g> + c_e|e>) (x) field, renormalized."""
         if not math.isfinite(abs(c_g) * abs(c_g) + abs(c_e) * abs(c_e)):
             raise ValueError("atom amplitudes are too large: |c_g|^2 + |c_e|^2 is not finite")
-        atom = np.array([c_g, c_e, 0.0], dtype=np.complex128)
+        # An exact power-of-two rescale: tiny amplitudes cannot underflow in the norm.
+        _, exponent = math.frexp(max(abs(c_g), abs(c_e)))
+        atom = np.array([c_g, c_e, 0.0], dtype=np.complex128) / 2.0 ** exponent
         return normalize(np.outer(atom, field.amplitudes))
 
 

@@ -161,6 +161,21 @@ def test_equivalence_validity_flag_set(tmp_path):
     assert all(r[4] == "1" for r in rows)
 
 
+def test_equivalence_tiny_atom_amplitude(tmp_path):
+    # 1e-200 |g> is the state |g>, although the squared amplitudes underflow.
+    # The atom pair is rescaled by a power of two, exactly, so the two runs
+    # differ only by the rounding of 1e-200 / 2^-664 against 1 / 2^1.
+    rows = {}
+    for atom_g in ("1", "1e-200"):
+        cfg = _write(tmp_path, "e.cfg", EQUIV_CFG + f"atom_g = {atom_g}\natom_e = 0\n")
+        out = tmp_path / "equiv.csv"
+        assert main(["equivalence", "--config", cfg, "--out", str(out)]) == 0
+        _, rows[atom_g] = _rows(out)
+    assert len(rows["1e-200"]) == len(rows["1"]) == 6
+    np.testing.assert_allclose(np.array(rows["1e-200"], dtype=float),
+                               np.array(rows["1"], dtype=float), rtol=1e-14, atol=1e-15)
+
+
 def test_equivalence_requires_grid(tmp_path):
     cfg = _write(tmp_path, "e.cfg", "spectrum = harmonic\nz_re = 1.0\ng1 = 1\ng2 = 1\n")
     assert main(["equivalence", "--config", cfg]) == 2

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -294,6 +295,30 @@ def test_equivalence_leak_matches_sampled_propagation(registry_specs):
             expected = max(closed_form_I(initial, params, spec, s).level_population("i")
                            for s in np.linspace(0.0, t, 33)[1:])
             assert abs(row.max_i_population - expected) < 1e-14
+
+
+def test_equivalence_grid_matches_pointwise_propagators(registry_specs):
+    # every row against one closed_form_I and one closed_form_eff call, and a
+    # D x T grid against D * T separate 1 x 1 grids: the broadcast couples no points
+    rng = np.random.default_rng(29)
+    for spec in registry_specs:
+        for _ in range(3):
+            z = rng.uniform(0.2, 1.5) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+            field = nonlinear_cs(z, spec, choose_truncation(z, spec))
+            atom = tuple(complex(c) for c in rng.normal(size=2) + 1j * rng.normal(size=2))
+            initial = AtomFieldState.product(atom[0], atom[1], field)
+            g1, g2 = rng.uniform(0.5, 2.0, size=2)
+            deltas = rng.choice([-1.0, 1.0], size=3) * rng.uniform(2.0, 200.0, size=3)
+            times = [0.0, -0.0, *rng.uniform(-3.0, 3.0, size=4)]
+            rows = equivalence_experiment(deltas, g1, g2, spec, field, atom, times)
+            assert len(rows) == len(deltas) * len(times)
+            for row, (delta, t) in zip(rows, itertools.product(deltas, times)):
+                assert (row.delta, row.t) == (delta, t)
+                assert row == equivalence_experiment([delta], g1, g2, spec, field, atom, [t])[0]
+                params = RamanParams(g1, g2, delta)
+                expected = 1.0 - fidelity(closed_form_I(initial, params, spec, t),
+                                          closed_form_eff(initial, params, spec, t))
+                assert abs(row.infidelity - expected) < 1e-13
 
 
 def test_equivalence_monotone_at_fixed_time(harmonic_spec):

@@ -227,3 +227,5 @@ def test_atom_field_product_state():
     assert abs(joint.e[1] - 0.8) < 1e-15
     assert np.all(joint.i == 0)
     assert abs(np.linalg.norm(joint.amplitudes) - 1.0) < 1e-12
+    with pytest.raises(ZeroVector):
+        AtomFieldState.product(0.0, 0.0, field)
