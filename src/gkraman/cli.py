@@ -18,20 +18,18 @@ from __future__ import annotations
 import argparse
 import cmath
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import deformation, verify
 from .deformation import DeformationSpec
 from .errors import DetectionImprobable, DivergentSeries, NonPhysicalSpectrum
 from .evolution import equivalence_csv_lines, equivalence_experiment
-from .fockspace import DEFAULT_TAIL_TOL, choose_truncation
+from .fockspace import _FMT, DEFAULT_TAIL_TOL, _n_trunc_for
 from .hamiltonian import RamanParams
 from .protocol import (DEFAULT_DETECTION_FLOOR, ProtocolConfig,
                        protocol_report_lines, run_protocol)
 from .states import GKLabel, gkcs, nonlinear_cs
-
-_FMT = "{:.15g}".format
 
 
 class ConfigError(ValueError):
@@ -58,54 +56,35 @@ def _as_choice(*choices: str):
     return convert
 
 
-_SCHEMA = {
-    "spectrum": _as_choice(*sorted(deformation.REGISTRY)),
-    "spectrum_table": str,
-    "kappa": float,
-    "z_re": float,
-    "z_im": float,
-    "alpha": float,
-    "family": _as_choice("nonlinear", "gk"),
-    "g1": float,
-    "g2": float,
-    "delta": float,
-    "tau": float,
-    "epsilons": _list_of(_as_complex),
-    "n_trunc": int,
-    "tail_tol": float,
-    "detection_floor": float,
-    "deltas": _list_of(float),
-    "times": _list_of(float),
-    "atom_g": _as_complex,
-    "atom_e": _as_complex,
-    "out": str,
-}
+def _key(default, parse):
+    """A scenario key: its default and the parser of its text value."""
+    return field(default=default, metadata={"parse": parse})
 
 
 @dataclass
 class ScenarioConfig:
     """Parsed scenario file; every command reads the subset it needs."""
 
-    spectrum: str = "harmonic"
-    spectrum_table: str | None = None
-    kappa: float = 1.0
-    z_re: float = 0.0
-    z_im: float = 0.0
-    alpha: float = 0.0
-    family: str | None = None
-    g1: float | None = None
-    g2: float | None = None
-    delta: float | None = None
-    tau: float | None = None
-    epsilons: tuple[complex, ...] = ()
-    n_trunc: int | None = None
-    tail_tol: float = DEFAULT_TAIL_TOL
-    detection_floor: float = DEFAULT_DETECTION_FLOOR
-    deltas: tuple[float, ...] = ()
-    times: tuple[float, ...] = ()
-    atom_g: complex = 2.0 ** -0.5
-    atom_e: complex = 2.0 ** -0.5
-    out: str | None = None
+    spectrum: str = _key("harmonic", _as_choice(*sorted(deformation.REGISTRY)))
+    spectrum_table: str | None = _key(None, str)
+    kappa: float = _key(1.0, float)
+    z_re: float = _key(0.0, float)
+    z_im: float = _key(0.0, float)
+    alpha: float = _key(0.0, float)
+    family: str | None = _key(None, _as_choice("nonlinear", "gk"))
+    g1: float | None = _key(None, float)
+    g2: float | None = _key(None, float)
+    delta: float | None = _key(None, float)
+    tau: float | None = _key(None, float)
+    epsilons: tuple[complex, ...] = _key((), _list_of(_as_complex))
+    n_trunc: int | None = _key(None, int)
+    tail_tol: float = _key(DEFAULT_TAIL_TOL, float)
+    detection_floor: float = _key(DEFAULT_DETECTION_FLOOR, float)
+    deltas: tuple[float, ...] = _key((), _list_of(float))
+    times: tuple[float, ...] = _key((), _list_of(float))
+    atom_g: complex = _key(2.0 ** -0.5, _as_complex)
+    atom_e: complex = _key(2.0 ** -0.5, _as_complex)
+    out: str | None = _key(None, str)
 
     @property
     def z(self) -> complex:
@@ -115,6 +94,10 @@ class ScenarioConfig:
         missing = [name for name in names if getattr(self, name) is None]
         if missing:
             raise ConfigError(f"missing required key(s): {', '.join(missing)}")
+
+
+#: Scenario key -> parser of its text value.
+_SCHEMA = {f.name: f.metadata["parse"] for f in fields(ScenarioConfig)}
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -171,8 +154,7 @@ def cmd_state(config: ScenarioConfig, out_path: str | None) -> int:
     """Dump the requested coherent-state amplitudes as CSV rows (n, Re, Im)."""
     spec = build_spec(config)
     family = config.family or ("gk" if config.alpha != 0.0 else "nonlinear")
-    n_trunc = (choose_truncation(config.z, spec, config.tail_tol)
-               if config.n_trunc is None else config.n_trunc)
+    n_trunc = _n_trunc_for(config.z, spec, config.tail_tol, config.n_trunc)
     if family == "gk":
         state = gkcs(GKLabel(config.z, config.alpha), spec, n_trunc)
     else:
@@ -205,10 +187,9 @@ def cmd_equivalence(config: ScenarioConfig, out_path: str | None) -> int:
     config.require("g1", "g2")
     if not config.deltas or not config.times:
         raise ConfigError("equivalence needs non-empty 'deltas' and 'times' lists")
-    n_trunc = (choose_truncation(config.z, spec, config.tail_tol)
-               if config.n_trunc is None else config.n_trunc)
-    field = nonlinear_cs(config.z, spec, n_trunc)
-    rows = equivalence_experiment(config.deltas, config.g1, config.g2, spec, field,
+    n_trunc = _n_trunc_for(config.z, spec, config.tail_tol, config.n_trunc)
+    rows = equivalence_experiment(config.deltas, config.g1, config.g2, spec,
+                                  nonlinear_cs(config.z, spec, n_trunc),
                                   (config.atom_g, config.atom_e), config.times)
     _write(equivalence_csv_lines(rows), out_path)
     return 0

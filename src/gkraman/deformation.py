@@ -96,30 +96,6 @@ class DeformationSpec:
         return float(np.interp(x, np.arange(self.n_cache + 1), self.e_values))
 
 
-def f_of_n(spec: DeformationSpec, n: int) -> float:
-    """Nonlinearity value f(n) = sqrt(e_n / n) for n >= 1."""
-    if n < 1:
-        raise ValueError("f(n) is defined for n >= 1")
-    spec._check_n(n)
-    return float(spec.f_values[n])
-
-
-def f_factorial(spec: DeformationSpec, n: int) -> float:
-    """Deformed factorial [f(n)]! = f(1) f(2) ... f(n), with [f(0)]! = 1."""
-    if n < 0:
-        raise ValueError("factorial index must be non-negative")
-    spec._check_n(n)
-    return float(math.exp(spec.log_f_factorials[n]))
-
-
-def e_factorial(spec: DeformationSpec, n: int) -> float:
-    """Spectrum factorial [e_n]! = e_1 e_2 ... e_n, with [e_0]! = 1."""
-    if n < 0:
-        raise ValueError("factorial index must be non-negative")
-    spec._check_n(n)
-    return float(math.exp(spec.log_e_factorials[n]))
-
-
 def deformed_lower(spec: DeformationSpec, s) -> np.ndarray:
     """Apply the deformed lowering operator a f(n) to a field state.
 

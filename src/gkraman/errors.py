@@ -30,8 +30,3 @@ class DetectionImprobable(RuntimeError):
     def __init__(self, message: str, atom_index: int | None = None):
         super().__init__(message)
         self.atom_index = atom_index
-
-
-class IllConditioned(RuntimeError):
-    """Superposition components are too close to linearly dependent for a
-    meaningful decomposition."""

@@ -1,5 +1,5 @@
-"""Exact closed-form propagators for the Raman dynamics, independent
-numerical propagators used as their oracles, and the large-detuning equivalence
+"""Exact closed-form propagators for the Raman dynamics, an exact exponential of
+a constant generator used as their oracle, and the large-detuning equivalence
 experiment between the interaction-picture and effective descriptions.
 
 The interaction-picture solution acts inside each excitation sector
@@ -11,16 +11,14 @@ a zero-upper-level initial state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .deformation import DeformationSpec
-from .errors import DimensionMismatch, InitialExcitedLevel
-from .fockspace import AtomFieldState, FieldState, mean_excitation
+from .errors import InitialExcitedLevel
+from .fockspace import _FMT, AtomFieldState, FieldState, _check_phase, mean_excitation
 from .hamiltonian import JointOperator, RamanParams, build_H_I
-
-_FMT = "{:.15g}".format
 
 #: Sample times in (0, t] over which the equivalence leak is maximized.
 _LEAK_SAMPLES = 32
@@ -33,12 +31,19 @@ def rabi_frequencies(params: RamanParams, spec: DeformationSpec, n_trunc: int) -
     return np.sqrt(e_vals * params.coupling_sq_sum + 0.25 * params.delta ** 2)
 
 
+def _largest(t: float | np.ndarray) -> float:
+    """max |t| as a Python float, so phase-overflow checks raise no numpy warning."""
+    return float(abs(t).max(initial=0.0)) if isinstance(t, np.ndarray) else abs(float(t))
+
+
 def _effective_coeffs(params: RamanParams, spec: DeformationSpec, t: float | np.ndarray,
-                      n_trunc: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      n_trunc: int, name: str = "t") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Effective sector map [[d1, d2], [d2, d3]] at time t (or a (T, 1) column), per n."""
     spec._check_n(n_trunc - 1)
     e_vals = spec.e_values[:n_trunc]
     g1, g2, big_g = params.g1, params.g2, params.coupling_sq_sum
+    t_max = _largest(t)
+    _check_phase(name, t_max, float(e_vals[-1]) * big_g * t_max / abs(params.delta))
     phase = np.exp(1j * e_vals * big_g * t / params.delta)
     d1 = (g2 ** 2 + g1 ** 2 * phase) / big_g
     d2 = g1 * g2 * (phase - 1.0) / big_g
@@ -66,6 +71,8 @@ def _interaction_coeffs(params: RamanParams, spec: DeformationSpec, t: float | n
     e_vals = spec.e_values[:n_trunc]
     g1, g2, delta = params.g1, params.g2, params.delta
     big_g = params.coupling_sq_sum
+    t_max = _largest(t)
+    _check_phase("t", t_max, float(rabi[-1]) * t_max)  # rabi >= |delta| / 2
 
     cos_r = np.cos(rabi * t)
     sin_r = np.sin(rabi * t)
@@ -116,35 +123,16 @@ def closed_form_eff(initial: AtomFieldState, params: RamanParams, spec: Deformat
     return AtomFieldState(new)
 
 
-def oracle_evolve(h_builder: Callable[[float], JointOperator], initial: AtomFieldState,
-                  t: float, steps: int) -> AtomFieldState:
-    """Piecewise-constant midpoint propagator, independent of the closed forms.
-
-    Each step applies exp(-i H(t_mid) h), h = t / steps, through ``eigh`` of a
-    Hermitian H (``verify.hermiticity_suite`` checks every builder); second
-    order in h for time-dependent H, exact for constant H, where one step suffices.
-    """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    op = h_builder(0.0)
-    if op.n_trunc != initial.n_trunc:
-        raise DimensionMismatch(
-            f"operator basis {op.n_trunc} does not match state basis {initial.n_trunc}")
-    if op.levels == ("g", "e", "i"):
-        vec = initial.amplitudes.reshape(-1).copy()
-    elif op.levels == ("g", "e"):
+def _exponential(op: JointOperator, initial: AtomFieldState, t: float) -> AtomFieldState:
+    """exp(-i H t) applied to initial for a constant Hermitian generator H, through
+    one ``eigh`` (``verify.hermiticity_suite`` checks every builder)."""
+    rows = len(op.levels)
+    if rows == 2:
         _require_lower_levels(initial)
-        vec = initial.amplitudes[:2].reshape(-1).copy()
-    else:
-        raise ValueError("oracle_evolve expects an atom-field operator")
-
-    h = t / steps
-    for k in range(steps):
-        w, v = np.linalg.eigh(h_builder((k + 0.5) * h).matrix)
-        vec = v @ (np.exp(-1j * h * w) * (v.conj().T @ vec))
-
+    w, v = np.linalg.eigh(op.matrix)
+    vec = v @ (np.exp(-1j * t * w) * (v.conj().T @ initial.amplitudes[:rows].reshape(-1)))
     new = np.zeros_like(initial.amplitudes)
-    new[:len(op.levels)] = vec.reshape(len(op.levels), op.n_trunc)
+    new[:rows] = vec.reshape(rows, op.n_trunc)
     return AtomFieldState(new)
 
 
@@ -156,7 +144,7 @@ def rotating_frame_I(initial: AtomFieldState, params: RamanParams, spec: Deforma
     on_i = np.repeat([0.0, 0.0, 1.0], n)  # P_i over the (g, e, i) x n basis
     op = JointOperator(build_H_I(params, spec, 0.0, n).matrix + np.diag(params.delta * on_i),
                        ("g", "e", "i"), n)
-    out = oracle_evolve(lambda _: op, initial, t, steps=1)
+    out = _exponential(op, initial, t)
     return AtomFieldState(out.amplitudes * np.exp(1j * params.delta * t * on_i).reshape(3, n))
 
 

@@ -28,10 +28,28 @@ DEFAULT_TAIL_TOL = 1e-12
 _NORM_FLOOR = 1e-300
 _NORM_CHECK_TOL = 1e-8
 
+#: Number format of every CSV and report column.
+_FMT = "{:.15g}".format
 
-def _freeze(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
+
+def _check_amplitudes(state, rows: tuple[int, ...], shape_error: str, kind: str):
+    """Freeze state.amplitudes as complex128 after checking shape rows + (n > 0,) and norm 1."""
+    amps = np.ascontiguousarray(state.amplitudes, dtype=np.complex128)
+    if not (amps.ndim == len(rows) + 1 and amps.shape[:-1] == rows and amps.size > 0):
+        raise ValueError(shape_error)
+    nrm = np.linalg.norm(amps)
+    if not abs(nrm - 1.0) <= _NORM_CHECK_TOL:  # written to fail on NaN too
+        if not math.isfinite(nrm):
+            raise ValueError(f"{kind} norm {float(nrm)!r} is not finite")
+        raise ValueError(f"{kind} is not normalized (norm = {nrm!r}); use normalize()")
+    amps.setflags(write=False)
+    object.__setattr__(state, "amplitudes", amps)
+
+
+def _check_phase(name: str, value: float, argument: float):
+    """Raise unless the largest phase argument that the input value enters is finite."""
+    if not math.isfinite(argument):
+        raise ValueError(f"{name} = {value:g} makes a phase argument overflow")
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,25 +59,12 @@ class FieldState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size == 0:
-            raise ValueError("field amplitudes must be a non-empty 1-d sequence")
-        nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > _NORM_CHECK_TOL:
-            raise ValueError(f"field state is not normalized (norm = {nrm!r}); use normalize()")
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+        _check_amplitudes(self, (), "field amplitudes must be a non-empty 1-d sequence",
+                          "field state")
 
     @property
     def n_trunc(self) -> int:
         return self.amplitudes.size
-
-    @property
-    def tail_mass(self) -> float:
-        """Population of the topmost kept Fock level, |amplitude_{N-1}|^2.
-
-        A small value witnesses that the truncation did not clip the state.
-        """
-        return float(abs(self.amplitudes[-1]) ** 2)
 
     @classmethod
     def fock(cls, n: int, n_trunc: int) -> "FieldState":
@@ -78,13 +83,9 @@ class AtomFieldState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 2 or amps.shape[0] != len(LEVELS) or amps.shape[1] == 0:
-            raise ValueError("joint amplitudes must have shape (3, n_trunc) for levels (g, e, i)")
-        nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > _NORM_CHECK_TOL:
-            raise ValueError(f"joint state is not normalized (norm = {nrm!r}); use normalize()")
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+        _check_amplitudes(self, (len(LEVELS),),
+                          "joint amplitudes must have shape (3, n_trunc) for levels (g, e, i)",
+                          "joint state")
 
     @property
     def n_trunc(self) -> int:
@@ -102,10 +103,6 @@ class AtomFieldState:
     def i(self) -> np.ndarray:
         return self.amplitudes[2]
 
-    def level_population(self, level: str) -> float:
-        row = self.amplitudes[LEVELS.index(level)]
-        return float(np.sum(np.abs(row) ** 2))
-
     @classmethod
     def product(cls, c_g: complex, c_e: complex, field: FieldState) -> "AtomFieldState":
         """Product state (c_g|g> + c_e|e>) (x) field, renormalized."""
@@ -121,11 +118,14 @@ def normalize(v: Sequence | np.ndarray) -> FieldState | AtomFieldState:
     """Scale a complex amplitude vector to unit norm.
 
     1-d input yields a :class:`FieldState`; (3, n) input a :class:`AtomFieldState`.
-    Raises :class:`ZeroVector` when the input norm underflows.
+    Raises :class:`ZeroVector` when the input norm underflows and ValueError
+    when it is not finite.
     """
     arr = np.asarray(v, dtype=np.complex128)
     nrm = np.linalg.norm(arr)
-    if nrm < _NORM_FLOOR:
+    if not math.isfinite(nrm):
+        raise ValueError(f"cannot normalize a vector whose norm {float(nrm)!r} is not finite")
+    if not nrm >= _NORM_FLOOR:
         raise ZeroVector("cannot normalize a vector of zero norm")
     arr = arr / nrm
     if arr.ndim == 1:
@@ -190,3 +190,8 @@ def choose_truncation(z: complex, spec: "DeformationSpec",
             f"tail mass does not fall below {tail_tol:g} within the cached range "
             f"of spectrum '{spec.name}' (|z| too close to the convergence radius)")
     return int(candidates[0]) + 1
+
+
+def _n_trunc_for(z: complex, spec: "DeformationSpec", tail_tol: float, n_trunc: int | None) -> int:
+    """The given basis size, or the one choose_truncation picks when it is None."""
+    return choose_truncation(z, spec, tail_tol) if n_trunc is None else n_trunc

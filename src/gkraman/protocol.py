@@ -19,18 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import DeformationSpec
-from .errors import DetectionImprobable, DimensionMismatch, IllConditioned
+from .errors import DetectionImprobable
 from .evolution import _effective_coeffs
-from .fockspace import DEFAULT_TAIL_TOL, FieldState, choose_truncation, fidelity, normalize
+from .fockspace import (_FMT, DEFAULT_TAIL_TOL, FieldState, _check_phase, _n_trunc_for,
+                        fidelity, normalize)
 from .hamiltonian import RamanParams
 from .states import evolve_free, nonlinear_cs
 
 DEFAULT_DETECTION_FLOOR = 1e-6
-
-#: Gram-matrix condition-number ceiling for superposition decomposition.
-GRAM_COND_LIMIT = 1e12
-
-_FMT = "{:.15g}".format
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,7 @@ def inject_atom(field: FieldState, epsilon: complex, params: RamanParams,
     Raises :class:`DetectionImprobable` when the probability falls below
     detection_floor, signalling a practically unreachable postselection branch.
     """
-    _, d2, d3 = _effective_coeffs(params, spec, tau, field.n_trunc)
+    _, d2, d3 = _effective_coeffs(params, spec, tau, field.n_trunc, name="tau")
     e_row = field.amplitudes * (epsilon * d2 + d3) / math.sqrt(1.0 + abs(epsilon) ** 2)
     p_e = float(np.sum(np.abs(e_row) ** 2))
     if p_e < detection_floor:
@@ -120,11 +116,13 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     through its polynomial in w, over every {|z, alpha_m>} plus the initial state.
     """
     spec, params = config.spec, config.params
-    n_trunc = (choose_truncation(config.z, spec, config.tail_tol)
-               if config.n_trunc is None else config.n_trunc)
+    n_trunc = _n_trunc_for(config.z, spec, config.tail_tol, config.n_trunc)
     lam_tau = params.effective_coupling * config.tau
 
     initial = nonlinear_cs(config.z, spec, n_trunc)
+    # the last label, -2 N lambda tau, carries the largest free-evolution phase
+    _check_phase("tau", config.tau,
+                 float(spec.e_values[n_trunc - 1]) * abs(2.0 * len(config.epsilons) * lam_tau))
     current = initial
     poly = np.ones(1, dtype=np.complex128)  # poly[k] weighs components[k] = w^k * initial
     components = [initial]
@@ -145,32 +143,6 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     residual = float(np.linalg.norm(current.amplitudes - poly @ [c.amplitudes for c in components]))
     return ProtocolResult(initial, tuple(records), current, tuple(labels),
                           tuple(complex(c) for c in poly[::-1]), residual)
-
-
-def decompose_superposition(field: FieldState, components: list[FieldState],
-                            ) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients of a field over a set of component states.
-
-    ``run_protocol`` decomposes exactly; this numerical route is its oracle.
-    Returns (coefficients, residual) minimizing ||field - sum c_k comp_k||.
-    Raises :class:`IllConditioned` when the components' Gram matrix has a
-    condition number at or above 1e12.
-    """
-    if not components:
-        raise ValueError("at least one component is required")
-    for comp in components:
-        if comp.n_trunc != field.n_trunc:
-            raise DimensionMismatch("components must share the field's basis size")
-    basis = np.column_stack([c.amplitudes for c in components])
-    gram = basis.conj().T @ basis
-    cond = np.linalg.cond(gram)
-    if not cond < GRAM_COND_LIMIT:
-        raise IllConditioned(
-            f"component Gram matrix condition number {cond:.3e} exceeds {GRAM_COND_LIMIT:.0e}; "
-            "components are too close to linearly dependent")
-    coeffs = np.linalg.lstsq(basis, field.amplitudes, rcond=None)[0]
-    residual = float(np.linalg.norm(field.amplitudes - basis @ coeffs))
-    return coeffs, residual
 
 
 def protocol_report_lines(result: ProtocolResult) -> list[str]:

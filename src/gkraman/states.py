@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import DeformationSpec
-from .fockspace import FieldState, choose_truncation
+from .fockspace import FieldState, _check_phase, choose_truncation
 
 #: Tail tolerance used when a constructor has to size a basis internally.
 _INTERNAL_TAIL_TOL = 1e-16
@@ -61,6 +61,7 @@ def _coherent_state(z: complex, alpha: float, spec: DeformationSpec,
     if z == 0:
         return FieldState.fock(0, n_trunc)
     _check_convergence(z, spec)
+    _check_phase("alpha", alpha, abs(float(alpha)) * float(spec.e_values[n_trunc - 1]))
     mags = _magnitudes(abs(z), spec, n_trunc)
     angles = np.arange(n_trunc) * cmath.phase(z) - alpha * spec.e_values[:n_trunc]
     return FieldState(mags * np.exp(1j * angles))
@@ -110,15 +111,7 @@ def evolve_free(s: FieldState, spec: DeformationSpec, t: float) -> FieldState:
     under this map unless the spectrum is linear.
     """
     spec._check_n(s.n_trunc - 1)
+    _check_phase("t", t, float(spec.e_values[s.n_trunc - 1]) * abs(float(t)))
     phases = np.exp(-1j * spec.e_values[:s.n_trunc] * t)
     return FieldState(s.amplitudes * phases)
 
-
-__all__ = [
-    "GKLabel",
-    "nonlinear_cs",
-    "gkcs",
-    "gk_nonlinearity",
-    "action_identity_check",
-    "evolve_free",
-]

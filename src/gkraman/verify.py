@@ -17,7 +17,7 @@ import numpy as np
 
 from . import deformation, states
 from .deformation import DeformationSpec, deformed_lower
-from .evolution import closed_form_eff, closed_form_I, oracle_evolve, rotating_frame_I
+from .evolution import _exponential, closed_form_eff, closed_form_I, rotating_frame_I
 from .fockspace import AtomFieldState, choose_truncation, fidelity
 from .hamiltonian import (RamanParams, build_field_H, build_H_e, build_H_eff,
                           build_H_I, build_H_s)
@@ -163,8 +163,7 @@ def propagator_suite(specs: Sequence[DeformationSpec]) -> list[CheckResult]:
         worst_norm = max(worst_norm, abs(np.linalg.norm(exact.amplitudes) - 1.0))
 
         eff = closed_form_eff(initial, params, spec, t)
-        eff_oracle = oracle_evolve(lambda _: build_H_eff(params, spec, n_trunc),
-                                   initial, t, steps=1)
+        eff_oracle = _exponential(build_H_eff(params, spec, n_trunc), initial, t)
         worst_eff = max(worst_eff, float(np.linalg.norm(eff.amplitudes - eff_oracle.amplitudes)))
         worst_norm = max(worst_norm, abs(np.linalg.norm(eff.amplitudes) - 1.0))
     return [CheckResult("propagators", f"interaction closed form vs oracle ({draws} draws)",

@@ -221,6 +221,16 @@ def test_import_leaves_scipy_unloaded():
 # config schema and exit codes
 # ---------------------------------------------------------------------------
 
+def test_public_surface():
+    names = gkraman.__all__
+    assert len(names) <= 40
+    assert len(set(names)) == len(names)
+    for name in names:
+        getattr(gkraman, name)
+    for gone in ("decompose_superposition", "IllConditioned", "oracle_evolve", "f_of_n"):
+        assert not hasattr(gkraman, gone)
+
+
 def test_unknown_key_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.cfg", "spectrum = harmonic\nbogus = 1\n")
     assert main(["state", "--config", cfg]) == 2
@@ -268,6 +278,11 @@ def test_duplicate_key_exit_2(tmp_path):
     ("equivalence", EQUIV_CFG, "deltas = 1e300"),
     ("protocol", PROTOCOL_CFG, "epsilons = 1e300j"),
     ("equivalence", EQUIV_CFG, "atom_e = 1e300j"),
+    ("equivalence", EQUIV_CFG.replace("10, 100, 1000", "10, 100"), "times = 1e308"),
+    ("state", "spectrum = squared\nz_re = 0.8\n", "alpha = 1e308"),
+    ("protocol", PROTOCOL_CFG.replace("25.0", "40").replace("1, 1, 1", "1, 1"), "tau = 1e308"),
+    # each filter phase e_n G tau / delta is finite; the label -4 lambda tau is not
+    ("protocol", PROTOCOL_CFG.replace("25.0", "1"), "tau = 1e306"),
 ])
 def test_out_of_range_value_exit_2(tmp_path, capsys, command, base, override):
     # the overridden key replaces its line in the base scenario, or is appended

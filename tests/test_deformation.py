@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from gkraman import deformation
-from gkraman.deformation import (DeformationSpec, deformed_lower, e_factorial,
-                                 f_factorial, f_of_n, get_spec,
+from gkraman.deformation import (DeformationSpec, deformed_lower, get_spec,
                                  load_spectrum_table, poschl_teller, tabulated)
 from gkraman.errors import NonPhysicalSpectrum
 from gkraman.fockspace import FieldState, choose_truncation
@@ -47,29 +46,29 @@ def test_registry_monotonicity_exact(registry_specs):
 # f and the factorials
 # ---------------------------------------------------------------------------
 
-def test_f_of_n_spot_values(harmonic_spec, squared_spec):
-    assert f_of_n(harmonic_spec, 5) == 1.0
-    assert f_of_n(squared_spec, 4) == 2.0
+def test_f_values_spot_values(harmonic_spec, squared_spec):
+    assert harmonic_spec.f_values[5] == 1.0
+    assert squared_spec.f_values[4] == 2.0
     # e_n = n (n + 1)
-    assert abs(f_of_n(poschl_teller(0.5), 3) - 2.0) < 1e-15
+    assert abs(poschl_teller(0.5).f_values[3] - 2.0) < 1e-15
 
 
 def test_f_factorial_conventions(harmonic_spec, squared_spec):
-    assert f_factorial(harmonic_spec, 0) == 1.0
-    assert f_factorial(squared_spec, 0) == 1.0
+    assert math.exp(harmonic_spec.log_f_factorials[0]) == 1.0
+    assert math.exp(squared_spec.log_f_factorials[0]) == 1.0
     for n in (1, 3, 7, 20):
-        assert abs(f_factorial(harmonic_spec, n) - 1.0) < 1e-14
+        assert abs(math.exp(harmonic_spec.log_f_factorials[n]) - 1.0) < 1e-14
 
 
 def test_f_factorial_squared_direct_product_oracle(squared_spec):
     expected = math.prod(math.sqrt(k) for k in range(1, 5))  # = sqrt(24)
-    assert abs(f_factorial(squared_spec, 4) - expected) < 1e-12 * expected
+    assert abs(math.exp(squared_spec.log_f_factorials[4]) - expected) < 1e-12 * expected
 
 
 def test_e_factorial_values(harmonic_spec, squared_spec):
-    assert e_factorial(harmonic_spec, 0) == 1.0
-    assert abs(e_factorial(harmonic_spec, 4) - 24.0) < 1e-12 * 24
-    assert abs(e_factorial(squared_spec, 3) - 36.0) < 1e-12 * 36  # 1 * 4 * 9
+    assert math.exp(harmonic_spec.log_e_factorials[0]) == 1.0
+    assert abs(math.exp(harmonic_spec.log_e_factorials[4]) - 24.0) < 1e-12 * 24
+    assert abs(math.exp(squared_spec.log_e_factorials[3]) - 36.0) < 1e-12 * 36  # 1 * 4 * 9
 
 
 def test_factorial_identity_up_to_128(registry_specs):
@@ -83,7 +82,7 @@ def test_factorial_identity_up_to_128(registry_specs):
 
 def test_cache_bound_is_enforced(harmonic_spec):
     with pytest.raises(ValueError):
-        f_factorial(harmonic_spec, harmonic_spec.n_cache + 1)
+        harmonic_spec.e_at(harmonic_spec.n_cache + 1)
 
 
 # ---------------------------------------------------------------------------

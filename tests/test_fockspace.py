@@ -52,13 +52,23 @@ def test_normalize_zero_vector_raises():
         normalize([1e-301, 0.0])
 
 
+def test_norm_checks_reject_nan():
+    # NaN compares False both ways, so the checks must be written to fail on it
+    for build in (lambda: FieldState([math.nan, 0.0]),
+                  lambda: AtomFieldState(np.full((3, 2), math.nan)),
+                  lambda: normalize([math.nan, 1.0])):
+        with pytest.raises(ValueError, match="not finite") as excinfo:
+            build()
+        assert not isinstance(excinfo.value, ZeroVector)
+
+
 def test_normalize_joint_shape_dispatch():
     v = np.zeros((3, 4), dtype=complex)
     v[1, 2] = 2.0
     s = normalize(v)
     assert isinstance(s, AtomFieldState)
     assert s.e[2] == 1.0
-    assert s.level_population("e") == 1.0
+    assert np.sum(np.abs(s.e) ** 2) == 1.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,19 +209,46 @@ def test_choose_truncation_stability_under_padding(harmonic_spec):
     assert abs(fid_n - fid_n8) < 10 * tail_tol
 
 
+def test_choose_truncation_beyond_cache_remainder():
+    # on short prefixes of the squared spectrum the geometric bound on the terms
+    # beyond the cache decides N; the true tail is taken over n = 0 .. 512 of the
+    # full spectrum, with [e_n]! = (n!)^2 from lgamma
+    log_e_fact = 2.0 * np.array([math.lgamma(n + 1) for n in range(513)])
+    full = deformation.squared()
+    checked = 0
+    for top in (8, 12, 19):
+        prefix = deformation.tabulated(full.e_values[:top + 1])
+        for tail_tol in (1e-2, 1e-3):
+            for z in np.linspace(0.05 * top, 0.99 * top, 400):
+                try:
+                    n = choose_truncation(z, prefix, tail_tol)
+                except DivergentSeries:
+                    continue
+                log_w = 2.0 * np.arange(513) * math.log(z) - log_e_fact
+                tail = math.exp(np.logaddexp.reduce(log_w[n:]) - np.logaddexp.reduce(log_w))
+                assert tail <= tail_tol, (top, tail_tol, z, n, tail)
+                checked += 1
+    assert checked > 1000
+    # a point where the remainder bound alone moves N from 18 to 19
+    prefix = deformation.tabulated(full.e_values[:20])
+    assert choose_truncation(10.16015, prefix, 1e-3) == 19
+
+
 # ---------------------------------------------------------------------------
 # state containers
 # ---------------------------------------------------------------------------
 
-def test_field_state_records_tail_mass(harmonic_spec):
+def test_top_kept_level_tracks_tail_tol(harmonic_spec):
     # at the minimal basis size the last kept weight sits just above the
     # dropped tail (~ tail_tol / decay ratio), so the witness tracks tail_tol
     # in order of magnitude and shrinks as the tolerance tightens
     s = nonlinear_cs(1.0, harmonic_spec, choose_truncation(1.0, harmonic_spec))
-    assert s.tail_mass < 1e-10
+    top = abs(s.amplitudes[-1]) ** 2
+    assert top < 1e-10
     tight = nonlinear_cs(1.0, harmonic_spec, choose_truncation(1.0, harmonic_spec, 1e-16))
-    assert tight.tail_mass < 1e-14
-    assert tight.tail_mass < s.tail_mass
+    tight_top = abs(tight.amplitudes[-1]) ** 2
+    assert tight_top < 1e-14
+    assert tight_top < top
 
 
 def test_states_are_immutable():

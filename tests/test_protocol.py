@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gkraman.errors import DetectionImprobable, DimensionMismatch, IllConditioned
+from gkraman.errors import DetectionImprobable, DimensionMismatch
 from gkraman.fockspace import FieldState, choose_truncation, fidelity
 from gkraman.hamiltonian import RamanParams, build_H_eff
-from gkraman.protocol import (ProtocolConfig, decompose_superposition, inject_atom,
-                              protocol_report_lines, run_protocol)
+from gkraman.protocol import ProtocolConfig, inject_atom, protocol_report_lines, run_protocol
 from gkraman.states import GKLabel, evolve_free, gkcs, nonlinear_cs
+from oracles import IllConditioned, decompose_superposition
 
 PARAMS = RamanParams(g1=1.0, g2=1.0, delta=25.0)
 LAM = PARAMS.effective_coupling

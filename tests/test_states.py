@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from gkraman import deformation
 from gkraman.deformation import deformed_lower
-from gkraman.fockspace import FieldState, choose_truncation, fidelity
+from gkraman.evolution import closed_form_eff, rabi_frequencies
+from gkraman.fockspace import AtomFieldState, FieldState, choose_truncation, fidelity
+from gkraman.hamiltonian import RamanParams
 from gkraman.states import (GKLabel, action_identity_check, evolve_free,
                             gk_nonlinearity, gkcs, nonlinear_cs)
 
@@ -176,3 +179,25 @@ def test_divergent_label_rejected():
         nonlinear_cs(1.2, bounded, 16)
     with pytest.raises(DivergentSeries):
         gkcs(GKLabel(1.2, 0.1), bounded, 16)
+
+
+@pytest.mark.parametrize("make_spec", [deformation.squared,
+                                       lambda: deformation.tabulated([0.0, 1.0, 3.0, 6.0, 10.0])],
+                         ids=["squared", "tabulated"])
+def test_n_trunc_at_exactly_the_cache_depth(make_spec):
+    # a basis of n_trunc levels needs e_0 .. e_{n_trunc - 1}: n_cache + 1 levels
+    # fit the cache, n_cache + 2 do not
+    spec = make_spec()
+    params = RamanParams(1.0, 1.3, 20.0)
+    for n_trunc in (spec.n_cache + 1, spec.n_cache + 2):
+        joint = AtomFieldState.product(0.6, 0.8, FieldState.fock(1, n_trunc))
+        calls = [lambda: nonlinear_cs(0.5, spec, n_trunc),
+                 lambda: gkcs(GKLabel(0.5, 0.3), spec, n_trunc),
+                 lambda: rabi_frequencies(params, spec, n_trunc),
+                 lambda: closed_form_eff(joint, params, spec, 0.7)]
+        for call in calls:
+            if n_trunc == spec.n_cache + 1:
+                call()
+            else:
+                with pytest.raises(ValueError, match="cache depth"):
+                    call()
