@@ -3,7 +3,7 @@ Gazeau-Klauder coherent states from nonlinear coherent states via the
 intensity-dependent degenerate Raman interaction."""
 
 from .deformation import (DeformationSpec, deformed_lower, get_spec, harmonic,
-                          load_spectrum_table, poschl_teller, squared, tabulated)
+                          load_spectrum_table, poschl_teller, squared)
 from .errors import (DetectionImprobable, DimensionMismatch, DivergentSeries,
                      InitialExcitedLevel, NonPhysicalSpectrum, ZeroVector)
 from .evolution import (EquivalenceRow, closed_form_eff, closed_form_I,
@@ -29,5 +29,5 @@ __all__ = [
     "fidelity", "get_spec", "gk_nonlinearity", "gkcs", "harmonic",
     "inject_atom", "load_spectrum_table", "mean_excitation", "nonlinear_cs",
     "normalize", "poschl_teller", "protocol_report_lines", "rabi_frequencies",
-    "run_protocol", "squared", "tabulated",
+    "run_protocol", "squared",
 ]

@@ -239,8 +239,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                ("equivalence", True), ("verify", False)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=needs_config, help="scenario file")
-        p.add_argument("--out", default=None, help="output path ('-' = stdout)")
-        p.add_argument("--verbose", action="store_true")
+        if name == "verify":
+            p.add_argument("--verbose", action="store_true")
+        else:
+            p.add_argument("--out", default=None, help="output path ('-' = stdout)")
     return parser
 
 

@@ -1,9 +1,10 @@
 """Solvable-system spectra e_n, their nonlinearity functions f(n) = sqrt(e_n / n),
 and the deformed factorials [f(n)]! and [e_n]! that weight every state expansion.
 
-A spectrum must satisfy e_0 = 0 and 0 < e_1 < e_2 < ...; each spec caches the
-spectrum and the factorial prefix products (in the log domain, so that rapidly
-growing spectra never overflow) up to a configurable depth.
+A spectrum is its table e_0 .. e_N, which must satisfy e_0 = 0 and
+0 < e_1 < e_2 < ...; each spec caches f(n) and the factorial prefix products
+(in the log domain, so that rapidly growing spectra never overflow) over the
+same range.  The built-in spectra are tabulated up to N = DEFAULT_N_CACHE.
 """
 
 from __future__ import annotations
@@ -11,45 +12,43 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import NonPhysicalSpectrum
 
-#: Largest cached n (inclusive); also the scan depth for convergence checks.
+#: Largest n (inclusive) of the built-in tables; also their convergence-scan depth.
 DEFAULT_N_CACHE = 512
 
 
 @dataclass(frozen=True, eq=False)
 class DeformationSpec:
-    """A solvable-system spectrum with eagerly built factorial caches.
+    """A solvable-system spectrum, given by its table, with eagerly built factorial caches.
 
     Attributes
     ----------
     name : str
         Identifier used in configs and reports.
-    e : callable
-        Maps a photon number n to the energy e_n (hbar = 1).
-    n_cache : int
-        Largest n covered by the caches (inclusive).
+    e_values : array
+        The energies e_0 .. e_N (hbar = 1), stored as a read-only float copy;
+        N = ``n_cache`` is the largest n the caches cover.
     """
 
     name: str
-    e: Callable[[int], float]
-    n_cache: int = DEFAULT_N_CACHE
+    e_values: np.ndarray = field(repr=False)
 
-    e_values: np.ndarray = field(init=False, repr=False)
     f_values: np.ndarray = field(init=False, repr=False)
     log_factorials: np.ndarray = field(init=False, repr=False)
     log_f_factorials: np.ndarray = field(init=False, repr=False)
     log_e_factorials: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_cache < 1:
-            raise ValueError("n_cache must be at least 1")
-        ns = np.arange(self.n_cache + 1)
-        e_values = np.array([float(self.e(int(n))) for n in ns])
+        e_values = np.array(self.e_values, dtype=float)
+        if e_values.ndim != 1:
+            raise ValueError(f"a spectrum table must be 1-d, got shape {e_values.shape}")
+        if e_values.size < 2:
+            raise ValueError("a tabulated spectrum needs at least e_0 and e_1")
         if e_values[0] != 0.0:
             raise NonPhysicalSpectrum(f"spectrum '{self.name}': e_0 = {e_values[0]!r}, expected 0")
         valid = (e_values[1:] > 0.0) & (e_values[1:] < np.inf)  # NaN fails both
@@ -63,6 +62,7 @@ class DeformationSpec:
                 f"spectrum '{self.name}': not strictly increasing at n = {bad} "
                 f"(e_{bad} = {e_values[bad]!r}, e_{bad + 1} = {e_values[bad + 1]!r})")
 
+        ns = np.arange(e_values.size)
         f_values = np.zeros_like(e_values)
         f_values[1:] = np.sqrt(e_values[1:] / ns[1:])
 
@@ -78,6 +78,11 @@ class DeformationSpec:
                           ("log_e_factorials", log_e_factorials)):
             arr.setflags(write=False)
             object.__setattr__(self, attr, arr)
+
+    @property
+    def n_cache(self) -> int:
+        """Largest n covered by the caches (inclusive)."""
+        return self.e_values.size - 1
 
     def _check_n(self, n: int):
         if n > self.n_cache:
@@ -117,34 +122,24 @@ def deformed_lower(spec: DeformationSpec, s) -> np.ndarray:
 # Built-in spectrum registry
 # ---------------------------------------------------------------------------
 
-def harmonic(n_cache: int = DEFAULT_N_CACHE) -> DeformationSpec:
+def harmonic() -> DeformationSpec:
     """Harmonic oscillator, e_n = n; makes f identically 1 (canonical CS)."""
-    return DeformationSpec("harmonic", lambda n: float(n), n_cache)
+    return DeformationSpec("harmonic", np.arange(DEFAULT_N_CACHE + 1.0))
 
 
-def squared(n_cache: int = DEFAULT_N_CACHE) -> DeformationSpec:
+def squared() -> DeformationSpec:
     """Quadratic spectrum e_n = n^2, i.e. f(n) = sqrt(n)."""
-    return DeformationSpec("squared", lambda n: float(n) ** 2, n_cache)
+    return DeformationSpec("squared", np.arange(DEFAULT_N_CACHE + 1.0) ** 2)
 
 
-def poschl_teller(kappa: float = 1.0, n_cache: int = DEFAULT_N_CACHE) -> DeformationSpec:
+def poschl_teller(kappa: float = 1.0) -> DeformationSpec:
     """Poeschl-Teller-like spectrum e_n = n (n + 2 kappa)."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    return DeformationSpec(f"poschl_teller(kappa={kappa:g})",
-                           lambda n: float(n) * (float(n) + 2.0 * kappa), n_cache)
-
-
-def tabulated(values: Sequence[float], name: str = "tabulated") -> DeformationSpec:
-    """Spectrum from an explicit table e_0, e_1, ...; cache depth is the table length."""
-    table = np.asarray(list(values), dtype=float)
-    if table.size < 2:
-        raise ValueError("a tabulated spectrum needs at least e_0 and e_1")
-
-    def lookup(n: int) -> float:
-        return float(table[n])
-
-    return DeformationSpec(name, lookup, n_cache=table.size - 1)
+    n = np.arange(DEFAULT_N_CACHE + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the spectrum check names inf and NaN
+        e_values = n * (n + 2.0 * kappa)
+    return DeformationSpec(f"poschl_teller(kappa={kappa:g})", e_values)
 
 
 def load_spectrum_table(path) -> DeformationSpec:
@@ -162,7 +157,7 @@ def load_spectrum_table(path) -> DeformationSpec:
             values.append(float(line))
         except ValueError:
             raise ValueError(f"{p}:{idx}: not a real number: {line!r}") from None
-    return tabulated(values, name=p.stem)
+    return DeformationSpec(p.stem, values)
 
 
 #: Built-in spectra addressable by name (poschl_teller takes a kappa argument).
@@ -173,12 +168,12 @@ REGISTRY: dict[str, Callable[..., DeformationSpec]] = {
 }
 
 
-def get_spec(name: str, *, kappa: float = 1.0, n_cache: int = DEFAULT_N_CACHE) -> DeformationSpec:
+def get_spec(name: str, *, kappa: float = 1.0) -> DeformationSpec:
     """Instantiate a registry spectrum by name."""
     try:
         factory = REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown spectrum '{name}'; choose from {sorted(REGISTRY)}") from None
     if name == "poschl_teller":
-        return factory(kappa=kappa, n_cache=n_cache)
-    return factory(n_cache=n_cache)
+        return factory(kappa=kappa)
+    return factory()

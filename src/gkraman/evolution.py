@@ -10,6 +10,7 @@ a zero-upper-level initial state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,16 +19,28 @@ import numpy as np
 from .deformation import DeformationSpec
 from .errors import InitialExcitedLevel
 from .fockspace import _FMT, AtomFieldState, FieldState, _check_phase, mean_excitation
-from .hamiltonian import JointOperator, RamanParams, build_H_I
+from .hamiltonian import RamanParams, build_H_I
 
 #: Sample times in (0, t] over which the equivalence leak is maximized.
 _LEAK_SAMPLES = 32
 
 
-def rabi_frequencies(params: RamanParams, spec: DeformationSpec, n_trunc: int) -> np.ndarray:
-    """Generalized Rabi frequencies sqrt(n f^2(n) G + delta^2 / 4), n = 0 .. n_trunc-1."""
+def _energies(params: RamanParams, spec: DeformationSpec, n_trunc: int) -> np.ndarray:
+    """e_0 .. e_{n_trunc-1}, once the squared Rabi frequency e_n G + delta^2 / 4 is
+    known to be finite on them (checked in Python floats, which warn of nothing)."""
     spec._check_n(n_trunc - 1)
     e_vals = spec.e_values[:n_trunc]
+    e_top = float(spec.e_values[n_trunc - 1])  # the largest, as the spectrum increases
+    if not math.isfinite(e_top * params.coupling_sq_sum + 0.25 * params.delta ** 2):
+        raise ValueError(
+            f"couplings g1 = {params.g1:g}, g2 = {params.g2:g} and spectrum '{spec.name}' "
+            f"(e_{n_trunc - 1} = {e_top:g}) make e_n (g1^2 + g2^2) + delta^2 / 4 overflow")
+    return e_vals
+
+
+def rabi_frequencies(params: RamanParams, spec: DeformationSpec, n_trunc: int) -> np.ndarray:
+    """Generalized Rabi frequencies sqrt(n f^2(n) G + delta^2 / 4), n = 0 .. n_trunc-1."""
+    e_vals = _energies(params, spec, n_trunc)
     return np.sqrt(e_vals * params.coupling_sq_sum + 0.25 * params.delta ** 2)
 
 
@@ -39,8 +52,7 @@ def _largest(t: float | np.ndarray) -> float:
 def _effective_coeffs(params: RamanParams, spec: DeformationSpec, t: float | np.ndarray,
                       n_trunc: int, name: str = "t") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Effective sector map [[d1, d2], [d2, d3]] at time t (or a (T, 1) column), per n."""
-    spec._check_n(n_trunc - 1)
-    e_vals = spec.e_values[:n_trunc]
+    e_vals = _energies(params, spec, n_trunc)
     g1, g2, big_g = params.g1, params.g2, params.coupling_sq_sum
     t_max = _largest(t)
     _check_phase(name, t_max, float(e_vals[-1]) * big_g * t_max / abs(params.delta))
@@ -123,16 +135,17 @@ def closed_form_eff(initial: AtomFieldState, params: RamanParams, spec: Deformat
     return AtomFieldState(new)
 
 
-def _exponential(op: JointOperator, initial: AtomFieldState, t: float) -> AtomFieldState:
-    """exp(-i H t) applied to initial for a constant Hermitian generator H, through
-    one ``eigh`` (``verify.hermiticity_suite`` checks every builder)."""
-    rows = len(op.levels)
+def _exponential(matrix: np.ndarray, initial: AtomFieldState, t: float) -> AtomFieldState:
+    """exp(-i H t) applied to initial for a constant Hermitian generator H over the
+    first matrix.shape[0] // n_trunc levels, through one ``eigh``
+    (``verify.hermiticity_suite`` checks every builder)."""
+    rows = matrix.shape[0] // initial.n_trunc
     if rows == 2:
         _require_lower_levels(initial)
-    w, v = np.linalg.eigh(op.matrix)
+    w, v = np.linalg.eigh(matrix)
     vec = v @ (np.exp(-1j * t * w) * (v.conj().T @ initial.amplitudes[:rows].reshape(-1)))
     new = np.zeros_like(initial.amplitudes)
-    new[:rows] = vec.reshape(rows, op.n_trunc)
+    new[:rows] = vec.reshape(rows, initial.n_trunc)
     return AtomFieldState(new)
 
 
@@ -142,9 +155,8 @@ def rotating_frame_I(initial: AtomFieldState, params: RamanParams, spec: Deforma
     the generator is the constant H_I(0) + delta P_i, so one exponential suffices."""
     n = initial.n_trunc
     on_i = np.repeat([0.0, 0.0, 1.0], n)  # P_i over the (g, e, i) x n basis
-    op = JointOperator(build_H_I(params, spec, 0.0, n).matrix + np.diag(params.delta * on_i),
-                       ("g", "e", "i"), n)
-    out = _exponential(op, initial, t)
+    generator = build_H_I(params, spec, 0.0, n) + np.diag(params.delta * on_i)
+    out = _exponential(generator, initial, t)
     return AtomFieldState(out.amplitudes * np.exp(1j * params.delta * t * on_i).reshape(3, n))
 
 

@@ -1,9 +1,9 @@
 """Hamiltonian builders for the intensity-dependent degenerate Raman system.
 
-All operators act on the truncated joint basis {(level, n)} with levels in
-the fixed order (g, e, i) for the interaction picture and (g, e) for the
-effective two-level reduction; hbar = 1 throughout.  Every builder returns a
-dense Hermitian matrix wrapped in :class:`JointOperator`.
+Every builder returns a dense Hermitian complex128 matrix over the truncated
+joint basis, indexed level * n_trunc + n with the levels in the fixed order
+(g, e, i) for the interaction picture and (g, e) for the effective two-level
+reduction; hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -52,28 +52,8 @@ class RamanParams:
         return self.g1 ** 2 + self.g2 ** 2
 
 
-@dataclass(frozen=True, eq=False)
-class JointOperator:
-    """Dense operator over the joint basis; index = levels.index(level) * n_trunc + n."""
-
-    matrix: np.ndarray
-    levels: tuple[str, ...]
-    n_trunc: int
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        dim = max(len(self.levels), 1) * self.n_trunc
-        if m.shape != (dim, dim):
-            raise ValueError(f"matrix shape {m.shape} does not match basis size {dim}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def index(self, level: str, n: int) -> int:
-        return self.levels.index(level) * self.n_trunc + n
-
-
 def build_H_I(params: RamanParams, spec: DeformationSpec, t: float,
-              n_trunc: int) -> JointOperator:
+              n_trunc: int) -> np.ndarray:
     """Interaction-picture Hamiltonian with intensity-dependent coupling.
 
     Couples |g,n> <-> |i,n-1> with strength g1 sqrt(n) f(n) and |e,n> <-> |i,n-1>
@@ -88,42 +68,23 @@ def build_H_I(params: RamanParams, spec: DeformationSpec, t: float,
     i_prev = 2 * n_trunc + n - 1
     m[i_prev, n] = params.g1 * coupling * phase
     m[i_prev, n_trunc + n] = params.g2 * coupling * phase
-    return JointOperator(m + m.conj().T, ("g", "e", "i"), n_trunc)
+    return m + m.conj().T
 
 
-def build_H_e(params: RamanParams, spec: DeformationSpec, n_trunc: int) -> JointOperator:
-    """Two-level effective Raman coupling: -lambda n f^2(n) on |g><e| + |e><g|."""
-    spec._check_n(n_trunc - 1)
-    dim = 2 * n_trunc
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    coupling = -params.effective_coupling * spec.e_values[:n_trunc]
-    idx = np.arange(n_trunc)
-    m[idx, n_trunc + idx] = coupling
-    m[n_trunc + idx, idx] = coupling
-    return JointOperator(m, ("g", "e"), n_trunc)
-
-
-def build_H_s(params: RamanParams, spec: DeformationSpec, n_trunc: int) -> JointOperator:
-    """Stark-shift Hamiltonian: diagonal -n f^2(n) (g1^2/delta on g, g2^2/delta on e)."""
-    spec._check_n(n_trunc - 1)
-    e_vals = spec.e_values[:n_trunc]
-    diag = np.concatenate((-params.stark_shift_g * e_vals, -params.stark_shift_e * e_vals))
-    return JointOperator(np.diag(diag.astype(np.complex128)), ("g", "e"), n_trunc)
-
-
-def build_H_eff(params: RamanParams, spec: DeformationSpec, n_trunc: int) -> JointOperator:
-    """Modified effective Hamiltonian: Raman coupling plus Stark shifts.
+def build_H_eff(params: RamanParams, spec: DeformationSpec, n_trunc: int) -> np.ndarray:
+    """Modified effective Hamiltonian over (g, e): the Raman coupling -lambda n f^2(n)
+    on |g><e| + |e><g| plus the diagonal Stark shifts -n f^2(n) g1^2 / delta on g
+    and -n f^2(n) g2^2 / delta on e.
 
     For g1 = g2 = g each n-block reduces to -lambda e_n (sigma_x + 1) with
     eigenvalues {0, -2 lambda e_n}.
     """
-    h_e = build_H_e(params, spec, n_trunc)
-    h_s = build_H_s(params, spec, n_trunc)
-    return JointOperator(h_e.matrix + h_s.matrix, ("g", "e"), n_trunc)
-
-
-def build_field_H(spec: DeformationSpec, n_trunc: int) -> JointOperator:
-    """Field-only Hamiltonian A^dag A, diagonal e_n; generates free evolution."""
     spec._check_n(n_trunc - 1)
-    diag = spec.e_values[:n_trunc].astype(np.complex128)
-    return JointOperator(np.diag(diag), (), n_trunc)
+    e_vals = spec.e_values[:n_trunc]
+    m = np.zeros((2 * n_trunc, 2 * n_trunc), dtype=np.complex128)
+    coupling = -params.effective_coupling * e_vals
+    idx = np.arange(n_trunc)
+    m[idx, n_trunc + idx] = coupling
+    m[n_trunc + idx, idx] = coupling
+    stark = np.concatenate((-params.stark_shift_g * e_vals, -params.stark_shift_e * e_vals))
+    return m + np.diag(stark.astype(np.complex128))

@@ -18,17 +18,16 @@ def oracle_evolve(h_builder, initial: AtomFieldState, t: float, steps: int) -> A
     ``eigh``; second order in h for a time-dependent Hermitian H, exact for a constant one."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    op = h_builder(0.0)
-    rows = len(op.levels)
+    rows = h_builder(0.0).shape[0] // initial.n_trunc
     if rows == 2 and np.any(initial.i != 0):
         raise InitialExcitedLevel("a (g, e) generator cannot act on upper-level amplitudes")
     vec = initial.amplitudes[:rows].reshape(-1)
     h = t / steps
     for k in range(steps):
-        w, v = np.linalg.eigh(h_builder((k + 0.5) * h).matrix)
+        w, v = np.linalg.eigh(h_builder((k + 0.5) * h))
         vec = v @ (np.exp(-1j * h * w) * (v.conj().T @ vec))
     new = np.zeros_like(initial.amplitudes)
-    new[:rows] = vec.reshape(rows, op.n_trunc)
+    new[:rows] = vec.reshape(rows, initial.n_trunc)
     return AtomFieldState(new)
 
 

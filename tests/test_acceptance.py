@@ -130,7 +130,7 @@ def propagator_draws():
                         float(np.linalg.norm(exact.amplitudes - rotated.amplitudes)))
 
         eff = closed_form_eff(initial, params, spec, t)
-        u = expm(-1j * t * build_H_eff(params, spec, n_trunc).matrix)
+        u = expm(-1j * t * build_H_eff(params, spec, n_trunc))
         eff_exact = u @ initial.amplitudes[:2].reshape(-1)
         worst_eff = max(worst_eff,
                         float(np.linalg.norm(eff.amplitudes[:2].reshape(-1) - eff_exact)))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -223,11 +224,12 @@ def test_import_leaves_scipy_unloaded():
 
 def test_public_surface():
     names = gkraman.__all__
-    assert len(names) <= 40
+    assert len(names) <= 39
     assert len(set(names)) == len(names)
     for name in names:
         getattr(gkraman, name)
-    for gone in ("decompose_superposition", "IllConditioned", "oracle_evolve", "f_of_n"):
+    for gone in ("decompose_superposition", "IllConditioned", "oracle_evolve", "f_of_n",
+                 "tabulated"):
         assert not hasattr(gkraman, gone)
 
 
@@ -295,6 +297,25 @@ def test_out_of_range_value_exit_2(tmp_path, capsys, command, base, override):
     assert "config error" in captured.err
 
 
+@pytest.mark.parametrize("command, keys", [
+    ("equivalence", "deltas = 10\ntimes = 0, 1\n"),
+    ("equivalence", "deltas = 10\ntimes = 0\n"),
+    ("protocol", "delta = 10\ntau = 1\nepsilons = 1\n"),
+])
+def test_overflowing_rabi_frequency_blames_couplings(tmp_path, capsys, command, keys):
+    # e_2 (g1^2 + g2^2) = 2e308 overflows whatever t or tau is
+    table = _write(tmp_path, "steep.txt", "0\n1\n1e308\n")
+    cfg = _write(tmp_path, "o.cfg",
+                 f"spectrum_table = {table}\nn_trunc = 3\ng1 = 1\ng2 = 1\n{keys}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: couplings g1 = 1, g2 = 1 and spectrum 'steep' "
+                            "(e_2 = 1e+308) make e_n (g1^2 + g2^2) + delta^2 / 4 overflow\n")
+
+
 @pytest.mark.parametrize("bad_line", ["nan", "inf"])
 def test_nonfinite_spectrum_table_exit_2(tmp_path, capsys, bad_line):
     table = _write(tmp_path, "table.txt", f"0\n1\n{bad_line}\n3\n")
@@ -317,6 +338,15 @@ def test_huge_z_is_divergent_exit_3(tmp_path, capsys):
     cfg = _write(tmp_path, "z.cfg", "spectrum = squared\nz_re = -1e300\n")
     assert main(["state", "--config", cfg]) == 3
     assert "divergent" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("argv", [["state", "--config", "s.cfg", "--verbose"],
+                                  ["verify", "--out", "x"]])
+def test_flags_only_on_the_commands_that_read_them(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_scenario_parsing_types(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gkraman import deformation
-from gkraman.deformation import (DeformationSpec, deformed_lower, get_spec,
-                                 load_spectrum_table, poschl_teller, tabulated)
+from gkraman.deformation import (DEFAULT_N_CACHE, DeformationSpec, deformed_lower, get_spec,
+                                 harmonic, load_spectrum_table, poschl_teller, squared)
 from gkraman.errors import NonPhysicalSpectrum
 from gkraman.fockspace import FieldState, choose_truncation
 from gkraman.states import nonlinear_cs
@@ -17,29 +17,55 @@ from gkraman.states import nonlinear_cs
 
 def test_e0_must_vanish():
     with pytest.raises(NonPhysicalSpectrum):
-        DeformationSpec("bad", lambda n: n + 0.1, n_cache=8)
+        DeformationSpec("bad", np.arange(9) + 0.1)
 
 
 def test_spectrum_must_be_positive():
     with pytest.raises(NonPhysicalSpectrum):
-        DeformationSpec("bad", lambda n: -float(n), n_cache=8)
+        DeformationSpec("bad", -np.arange(9.0))
 
 
 def test_spectrum_must_increase_strictly():
     with pytest.raises(NonPhysicalSpectrum):
-        DeformationSpec("bad", lambda n: min(n, 3.0), n_cache=8)
+        DeformationSpec("bad", np.minimum(np.arange(9.0), 3.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_spectrum_must_be_finite(bad):
     with pytest.raises(NonPhysicalSpectrum, match="not finite"):
-        tabulated([0.0, 1.0, bad, 3.0])
+        DeformationSpec("bad", [0.0, 1.0, bad, 3.0])
 
 
 def test_registry_monotonicity_exact(registry_specs):
     for spec in registry_specs:
         assert np.all(np.diff(spec.e_values) > 0)
         assert spec.e_values[0] == 0.0
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 1.37])
+def test_registry_tables_bit_exact(kappa):
+    # the registry tables against the per-n Python formulas, entry by entry
+    ns = range(DEFAULT_N_CACHE + 1)
+    for spec, formula in ((harmonic(), lambda n: float(n)),
+                          (squared(), lambda n: float(n) ** 2),
+                          (poschl_teller(kappa), lambda n: float(n) * (float(n) + 2.0 * kappa))):
+        assert spec.n_cache == DEFAULT_N_CACHE
+        np.testing.assert_array_equal(spec.e_values, [formula(n) for n in ns])
+
+
+def test_spec_keeps_a_private_read_only_table():
+    table = np.array([0.0, 1.0, 3.0])
+    spec = DeformationSpec("copy", table)
+    table[2] = 2.0
+    assert spec.e_values[2] == 3.0 and spec.n_cache == 2
+    with pytest.raises(ValueError):
+        spec.e_values[1] = 0.5
+
+
+def test_poschl_teller_kappa_must_be_positive():
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        poschl_teller(kappa=0.0)
+    assert poschl_teller(kappa=1e-9).e_values[1] == 1.0 + 2e-9
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +169,16 @@ def test_tabulated_rejects_garbage(tmp_path):
 
 
 def test_tabulated_needs_two_entries():
-    with pytest.raises(ValueError):
-        tabulated([0.0])
+    with pytest.raises(ValueError, match="at least e_0 and e_1"):
+        DeformationSpec("short", [0.0])
+    assert DeformationSpec("shortest", [0.0, 1.0]).n_cache == 1
+
+
+def test_tabulated_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="must be 1-d"):
+        DeformationSpec("grid", [[0.0], [1.0], [2.0]])
+    with pytest.raises(ValueError, match="must be 1-d"):
+        DeformationSpec("scalar", 0.0)
 
 
 def test_get_spec_registry():
@@ -157,3 +191,9 @@ def test_get_spec_registry():
 def test_e_at_interpolates(harmonic_spec, squared_spec):
     assert harmonic_spec.e_at(1.5) == 1.5
     assert abs(squared_spec.e_at(2.0) - 4.0) < 1e-14
+
+
+def test_e_at_rejects_negative_excitation(squared_spec):
+    assert squared_spec.e_at(0.0) == 0.0
+    with pytest.raises(ValueError, match="non-negative"):
+        squared_spec.e_at(-0.5)

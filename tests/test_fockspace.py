@@ -191,7 +191,7 @@ def test_choose_truncation_monotone_in_tail_tol(z, harmonic_spec):
 
 def test_choose_truncation_divergent_for_bounded_spectrum():
     # e_n -> 1, so the expansion diverges for |z| >= 1
-    bounded = deformation.tabulated([n / (n + 1.0) for n in range(200)], name="bounded")
+    bounded = deformation.DeformationSpec("bounded", [n / (n + 1.0) for n in range(200)])
     with pytest.raises(DivergentSeries):
         choose_truncation(1.5, bounded)
     assert choose_truncation(0.3, bounded) >= 1
@@ -217,7 +217,7 @@ def test_choose_truncation_beyond_cache_remainder():
     full = deformation.squared()
     checked = 0
     for top in (8, 12, 19):
-        prefix = deformation.tabulated(full.e_values[:top + 1])
+        prefix = deformation.DeformationSpec("prefix", full.e_values[:top + 1])
         for tail_tol in (1e-2, 1e-3):
             for z in np.linspace(0.05 * top, 0.99 * top, 400):
                 try:
@@ -230,7 +230,7 @@ def test_choose_truncation_beyond_cache_remainder():
                 checked += 1
     assert checked > 1000
     # a point where the remainder bound alone moves N from 18 to 19
-    prefix = deformation.tabulated(full.e_values[:20])
+    prefix = deformation.DeformationSpec("prefix", full.e_values[:20])
     assert choose_truncation(10.16015, prefix, 1e-3) == 19
 
 

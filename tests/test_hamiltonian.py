@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gkraman.fockspace import choose_truncation
-from gkraman.hamiltonian import (JointOperator, RamanParams, build_field_H,
-                                 build_H_e, build_H_eff, build_H_I, build_H_s)
-from gkraman.states import GKLabel, gkcs
+from gkraman.hamiltonian import RamanParams, build_H_eff, build_H_I
 
 PARAMS = RamanParams(g1=1.3, g2=0.7, delta=25.0)
+
+
+def _index(level, n, n_trunc):
+    """Row of |level, n> in a builder's matrix: levels (g, e, i), or (g, e) for H_eff."""
+    return "gei".index(level) * n_trunc + n
 
 
 def _random_params(rng):
@@ -42,14 +44,15 @@ def test_params_validation():
 # ---------------------------------------------------------------------------
 
 def test_h_i_vacuum_only_is_zero(harmonic_spec):
-    op = build_H_I(PARAMS, harmonic_spec, t=0.7, n_trunc=1)
-    assert np.all(op.matrix == 0)
+    m = build_H_I(PARAMS, harmonic_spec, t=0.7, n_trunc=1)
+    assert m.shape == (3, 3) and m.dtype == np.complex128
+    assert np.all(m == 0)
 
 
 def test_h_i_first_sector_plain_couplings(harmonic_spec):
-    op = build_H_I(PARAMS, harmonic_spec, t=0.0, n_trunc=2)
-    g1_elem = op.matrix[op.index("i", 0), op.index("g", 1)]
-    g2_elem = op.matrix[op.index("i", 0), op.index("e", 1)]
+    m = build_H_I(PARAMS, harmonic_spec, t=0.0, n_trunc=2)
+    g1_elem = m[_index("i", 0, 2), _index("g", 1, 2)]
+    g2_elem = m[_index("i", 0, 2), _index("e", 1, 2)]
     assert g1_elem == PARAMS.g1
     assert g2_elem == PARAMS.g2
 
@@ -57,7 +60,7 @@ def test_h_i_first_sector_plain_couplings(harmonic_spec):
 def test_h_i_entrywise_oracle(squared_spec):
     # independent element-by-element construction
     t, n_trunc = 0.3, 4
-    op = build_H_I(PARAMS, squared_spec, t, n_trunc)
+    m = build_H_I(PARAMS, squared_spec, t, n_trunc)
     expected = np.zeros((3 * n_trunc, 3 * n_trunc), dtype=complex)
     for n in range(1, n_trunc):
         coupling = math.sqrt(n) * math.sqrt(n ** 2 / n)  # sqrt(n) f(n)
@@ -67,72 +70,64 @@ def test_h_i_entrywise_oracle(squared_spec):
         expected[gi, ii] = np.conj(expected[ii, gi])
         expected[ii, ei] = PARAMS.g2 * coupling * up
         expected[ei, ii] = np.conj(expected[ii, ei])
-    np.testing.assert_allclose(op.matrix, expected, atol=1e-14)
+    np.testing.assert_allclose(m, expected, atol=1e-14)
 
 
 def test_h_i_block_structure(registry_specs):
     # no matrix element may connect different excitation sectors
     n_trunc = 6
     for spec in registry_specs:
-        op = build_H_I(PARAMS, spec, t=1.1, n_trunc=n_trunc)
-        allowed = np.zeros(op.matrix.shape, dtype=bool)
+        m = build_H_I(PARAMS, spec, t=1.1, n_trunc=n_trunc)
+        allowed = np.zeros(m.shape, dtype=bool)
         np.fill_diagonal(allowed, True)
         for n in range(1, n_trunc):
             for a, b in ((("g", n), ("i", n - 1)), (("e", n), ("i", n - 1))):
-                allowed[op.index(*a), op.index(*b)] = True
-                allowed[op.index(*b), op.index(*a)] = True
-        assert np.all(op.matrix[~allowed] == 0)
+                allowed[_index(*a, n_trunc), _index(*b, n_trunc)] = True
+                allowed[_index(*b, n_trunc), _index(*a, n_trunc)] = True
+        assert np.all(m[~allowed] == 0)
 
 
 # ---------------------------------------------------------------------------
-# effective-side builders
+# effective Hamiltonian
 # ---------------------------------------------------------------------------
 
-def test_h_e_harmonic_is_number_weighted_sigma_x(harmonic_spec):
+def test_h_eff_harmonic_coupling_is_number_weighted_sigma_x(harmonic_spec):
     n_trunc = 5
-    op = build_H_e(PARAMS, harmonic_spec, n_trunc)
+    m = build_H_eff(PARAMS, harmonic_spec, n_trunc)
+    assert m.shape == (10, 10) and m.dtype == np.complex128
     lam = PARAMS.effective_coupling
     for n in range(n_trunc):
-        assert op.matrix[op.index("g", n), op.index("e", n)] == -lam * n
-    assert np.all(op.matrix[op.index("g", 0)] == 0)
+        assert m[_index("g", n, n_trunc), _index("e", n, n_trunc)] == -lam * n
+    assert np.all(m[_index("g", 0, n_trunc)] == 0)
 
 
-def test_h_e_squared_spot_value(squared_spec):
-    op = build_H_e(PARAMS, squared_spec, 5)
+def test_h_eff_squared_coupling_spot_value(squared_spec):
+    m = build_H_eff(PARAMS, squared_spec, 5)
     # n f^2(n) = e_3 = 9
-    assert op.matrix[op.index("g", 3), op.index("e", 3)] == -9 * PARAMS.effective_coupling
+    assert m[_index("g", 3, 5), _index("e", 3, 5)] == -9 * PARAMS.effective_coupling
 
 
-def test_h_s_diagonal_values(harmonic_spec, pt_spec):
-    op = build_H_s(PARAMS, pt_spec, 4)
+def test_h_eff_stark_diagonal_values(harmonic_spec, pt_spec):
+    m = build_H_eff(PARAMS, pt_spec, 4)
     # e_2 = 2 * (2 + 2) = 8 for kappa = 1
-    assert op.matrix[op.index("g", 2), op.index("g", 2)] == -8 * PARAMS.stark_shift_g
-    assert op.matrix[op.index("e", 2), op.index("e", 2)] == -8 * PARAMS.stark_shift_e
-    assert op.matrix[op.index("g", 0), op.index("g", 0)] == 0
+    assert m[_index("g", 2, 4), _index("g", 2, 4)] == -8 * PARAMS.stark_shift_g
+    assert m[_index("e", 2, 4), _index("e", 2, 4)] == -8 * PARAMS.stark_shift_e
+    assert m[_index("g", 0, 4), _index("g", 0, 4)] == 0
     equal = RamanParams(1.1, 1.1, 9.0)
-    op_eq = build_H_s(equal, harmonic_spec, 4)
+    m_eq = build_H_eff(equal, harmonic_spec, 4)
     lam = equal.effective_coupling
     for n in range(4):
-        assert abs(op_eq.matrix[op_eq.index("g", n), op_eq.index("g", n)] + n * lam) < 1e-15
-
-
-def test_h_eff_is_sum_of_parts(registry_specs):
-    rng = np.random.default_rng(5)
-    for spec in registry_specs:
-        p = _random_params(rng)
-        total = build_H_eff(p, spec, 6).matrix
-        parts = build_H_e(p, spec, 6).matrix + build_H_s(p, spec, 6).matrix
-        np.testing.assert_array_equal(total, parts)
+        assert abs(m_eq[_index("g", n, 4), _index("g", n, 4)] + n * lam) < 1e-15
 
 
 def test_h_eff_equal_coupling_block_eigenvalues(squared_spec):
     # 2x2 diagonalization oracle: eigenvalues {0, -2 lambda e_n} per block
     p = RamanParams(1.2, 1.2, 30.0)
     n_trunc = 5
-    op = build_H_eff(p, squared_spec, n_trunc)
+    m = build_H_eff(p, squared_spec, n_trunc)
     for n in range(n_trunc):
-        idx = [op.index("g", n), op.index("e", n)]
-        block = op.matrix[np.ix_(idx, idx)]
+        idx = [_index("g", n, n_trunc), _index("e", n, n_trunc)]
+        block = m[np.ix_(idx, idx)]
         eig = np.sort(np.linalg.eigvalsh(block))
         e_n = n ** 2
         expected = np.sort([0.0, -2.0 * p.effective_coupling * e_n])
@@ -142,35 +137,14 @@ def test_h_eff_equal_coupling_block_eigenvalues(squared_spec):
 def test_h_eff_harmonic_reduces_to_plain_form(harmonic_spec):
     # the f = 1 limit: -lambda n sigma_x - n diag(lambda1, lambda2)
     n_trunc = 4
-    op = build_H_eff(PARAMS, harmonic_spec, n_trunc)
-    expected = np.zeros_like(op.matrix)
+    m = build_H_eff(PARAMS, harmonic_spec, n_trunc)
+    expected = np.zeros_like(m)
     for n in range(n_trunc):
         g, e = n, n_trunc + n
         expected[g, e] = expected[e, g] = -PARAMS.effective_coupling * n
         expected[g, g] = -PARAMS.stark_shift_g * n
         expected[e, e] = -PARAMS.stark_shift_e * n
-    np.testing.assert_allclose(op.matrix, expected, atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# field Hamiltonian
-# ---------------------------------------------------------------------------
-
-def test_field_h_diagonal(harmonic_spec, squared_spec):
-    op = build_field_H(squared_spec, 8)
-    assert op.matrix[5, 5] == 25.0
-    assert np.all(op.matrix[~np.eye(8, dtype=bool)] == 0)
-    np.testing.assert_array_equal(np.diag(build_field_H(harmonic_spec, 8).matrix),
-                                  np.arange(8))
-
-
-def test_field_h_expectation_is_action_identity(squared_spec):
-    z = 0.9
-    n_trunc = choose_truncation(z, squared_spec, 1e-16)
-    state = gkcs(GKLabel(z, 0.2), squared_spec, n_trunc)
-    h = build_field_H(squared_spec, n_trunc).matrix
-    energy = np.vdot(state.amplitudes, h @ state.amplitudes).real
-    assert abs(energy - z ** 2) < 1e-8
+    np.testing.assert_allclose(m, expected, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +157,5 @@ def test_hermiticity_over_random_draws(registry_specs):
         spec = registry_specs[rng.integers(len(registry_specs))]
         p = _random_params(rng)
         t = rng.uniform(0, 4)
-        for op in (build_H_I(p, spec, t, 7), build_H_e(p, spec, 7),
-                   build_H_s(p, spec, 7), build_H_eff(p, spec, 7),
-                   build_field_H(spec, 7)):
-            assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-12
-
-
-def test_joint_operator_shape_validation(harmonic_spec):
-    with pytest.raises(ValueError):
-        JointOperator(np.zeros((3, 3)), ("g", "e"), 2)
+        for m in (build_H_I(p, spec, t, 7), build_H_eff(p, spec, 7)):
+            assert np.max(np.abs(m - m.conj().T)) < 1e-12

@@ -28,7 +28,7 @@ def _detection_oracle(field, epsilon, spec, tau):
     scale = 1.0 / math.sqrt(1.0 + abs(epsilon) ** 2)
     joint = np.concatenate((epsilon * scale * field.amplitudes,
                             scale * field.amplitudes))
-    evolved = expm(-1j * tau * build_H_eff(PARAMS, spec, n_trunc).matrix) @ joint
+    evolved = expm(-1j * tau * build_H_eff(PARAMS, spec, n_trunc)) @ joint
     e_row = evolved[n_trunc:]
     p_e = float(np.sum(np.abs(e_row) ** 2))
     return p_e, e_row / np.linalg.norm(e_row)

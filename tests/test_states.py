@@ -100,6 +100,12 @@ def test_gk_nonlinearity_values(harmonic_spec, squared_spec):
     assert abs(val - math.sqrt(3) * cmath.exp(2.5j)) < 1e-14
 
 
+def test_gk_nonlinearity_starts_at_n_1(squared_spec):
+    assert gk_nonlinearity(0.3, 1, squared_spec) == cmath.exp(0.3j)
+    with pytest.raises(ValueError, match="n >= 1"):
+        gk_nonlinearity(0.3, 0, squared_spec)
+
+
 # ---------------------------------------------------------------------------
 # action identity
 # ---------------------------------------------------------------------------
@@ -174,16 +180,17 @@ def test_label_continuity(squared_spec):
 def test_divergent_label_rejected():
     from gkraman import deformation
     from gkraman.errors import DivergentSeries
-    bounded = deformation.tabulated([n / (n + 1.0) for n in range(64)], name="bounded")
+    bounded = deformation.DeformationSpec("bounded", [n / (n + 1.0) for n in range(64)])
     with pytest.raises(DivergentSeries):
         nonlinear_cs(1.2, bounded, 16)
     with pytest.raises(DivergentSeries):
         gkcs(GKLabel(1.2, 0.1), bounded, 16)
 
 
-@pytest.mark.parametrize("make_spec", [deformation.squared,
-                                       lambda: deformation.tabulated([0.0, 1.0, 3.0, 6.0, 10.0])],
-                         ids=["squared", "tabulated"])
+@pytest.mark.parametrize("make_spec", [
+    deformation.squared,
+    lambda: deformation.DeformationSpec("table", [0.0, 1.0, 3.0, 6.0, 10.0]),
+], ids=["squared", "tabulated"])
 def test_n_trunc_at_exactly_the_cache_depth(make_spec):
     # a basis of n_trunc levels needs e_0 .. e_{n_trunc - 1}: n_cache + 1 levels
     # fit the cache, n_cache + 2 do not
