@@ -1,33 +1,41 @@
 """Truncated-Fock-space simulator for generating temporally stable
 Gazeau-Klauder coherent states from nonlinear coherent states via the
-intensity-dependent degenerate Raman interaction."""
+intensity-dependent degenerate Raman interaction.
 
-from .deformation import (DeformationSpec, deformed_lower, get_spec, harmonic,
-                          load_spectrum_table, poschl_teller, squared)
-from .errors import (DetectionImprobable, DimensionMismatch, DivergentSeries,
-                     InitialExcitedLevel, NonPhysicalSpectrum, ZeroVector)
-from .evolution import (EquivalenceRow, closed_form_eff, closed_form_I,
-                        equivalence_csv_lines, equivalence_experiment, rabi_frequencies)
-from .fockspace import (DEFAULT_TAIL_TOL, AtomFieldState, FieldState, choose_truncation,
-                        fidelity, mean_excitation, normalize)
-from .hamiltonian import RamanParams
-from .protocol import (AtomRecord, ProtocolConfig, ProtocolResult, inject_atom,
-                       protocol_report_lines, run_protocol)
-from .states import (GKLabel, action_identity_check, evolve_free, gk_nonlinearity,
-                     gkcs, nonlinear_cs)
+The namespace is lazy: a public name imports its home module on first use.
+"""
+
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomFieldState", "AtomRecord", "DEFAULT_TAIL_TOL",
-    "DeformationSpec", "DetectionImprobable", "DimensionMismatch",
-    "DivergentSeries", "EquivalenceRow", "FieldState", "GKLabel",
-    "InitialExcitedLevel", "NonPhysicalSpectrum", "ProtocolConfig",
-    "ProtocolResult", "RamanParams", "ZeroVector", "action_identity_check",
-    "choose_truncation", "closed_form_I", "closed_form_eff", "deformed_lower",
-    "equivalence_csv_lines", "equivalence_experiment", "evolve_free",
-    "fidelity", "get_spec", "gk_nonlinearity", "gkcs", "harmonic",
-    "inject_atom", "load_spectrum_table", "mean_excitation", "nonlinear_cs",
-    "normalize", "poschl_teller", "protocol_report_lines", "rabi_frequencies",
-    "run_protocol", "squared",
-]
+#: Home module -> the public names it defines.
+_EXPORTS = {
+    "deformation": ("DeformationSpec", "deformed_lower", "get_spec", "harmonic",
+                    "load_spectrum_table", "poschl_teller", "squared"),
+    "errors": ("DetectionImprobable", "DimensionMismatch", "DivergentSeries",
+               "InitialExcitedLevel", "NonPhysicalSpectrum", "ZeroVector"),
+    "evolution": ("EquivalenceRow", "closed_form_I", "closed_form_eff",
+                  "equivalence_csv_lines", "equivalence_experiment", "rabi_frequencies"),
+    "fockspace": ("DEFAULT_TAIL_TOL", "AtomFieldState", "FieldState", "choose_truncation",
+                  "fidelity", "mean_excitation", "normalize"),
+    "hamiltonian": ("RamanParams",),
+    "protocol": ("AtomRecord", "ProtocolConfig", "ProtocolResult", "inject_atom",
+                 "protocol_report_lines", "run_protocol"),
+    "states": ("GKLabel", "action_identity_check", "evolve_free", "gk_nonlinearity",
+               "gkcs", "nonlinear_cs"),
+}
+
+#: Public name -> the qualified name of its home module.
+_HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # Not cached in the package globals, so patches of the home module show through.
+    qualified = _HOME.get(name)
+    if qualified is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules.get(qualified) or importlib.import_module(qualified), name)

@@ -10,7 +10,7 @@ Subcommands::
 Configs are flat ``key = value`` text files ('#' starts a comment); lists are
 comma-separated.  Exit codes: 0 success, 1 verification failure, 2 config
 error or out-of-range value, 3 divergent state expansion, 4 improbable
-postselection.
+postselection.  Each handler imports the modules its command runs, and only those.
 """
 
 from __future__ import annotations
@@ -21,14 +21,10 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import deformation, verify
+from . import deformation
 from .deformation import DeformationSpec
 from .errors import DetectionImprobable, DivergentSeries, NonPhysicalSpectrum
-from .evolution import equivalence_csv_lines, equivalence_experiment
-from .fockspace import _FMT, DEFAULT_TAIL_TOL, _n_trunc_for
-from .hamiltonian import RamanParams
-from .protocol import (DEFAULT_DETECTION_FLOOR, ProtocolConfig,
-                       protocol_report_lines, run_protocol)
+from .fockspace import _FMT, DEFAULT_DETECTION_FLOOR, DEFAULT_TAIL_TOL, _n_trunc_for
 from .states import GKLabel, gkcs, nonlinear_cs
 
 
@@ -168,6 +164,8 @@ def cmd_state(config: ScenarioConfig, out_path: str | None) -> int:
 
 def cmd_protocol(config: ScenarioConfig, out_path: str | None) -> int:
     """Run the injection scheme and emit the per-atom / decomposition report."""
+    from .hamiltonian import RamanParams
+    from .protocol import ProtocolConfig, protocol_report_lines, run_protocol
     spec = build_spec(config)
     config.require("g1", "g2", "delta", "tau")
     protocol_config = ProtocolConfig(
@@ -183,6 +181,7 @@ def cmd_protocol(config: ScenarioConfig, out_path: str | None) -> int:
 
 def cmd_equivalence(config: ScenarioConfig, out_path: str | None) -> int:
     """Sweep the detuning grid and emit the infidelity CSV."""
+    from .evolution import equivalence_csv_lines, equivalence_experiment
     spec = build_spec(config)
     config.require("g1", "g2")
     if not config.deltas or not config.times:
@@ -197,6 +196,7 @@ def cmd_equivalence(config: ScenarioConfig, out_path: str | None) -> int:
 
 def cmd_verify(config: ScenarioConfig | None, verbose: bool) -> int:
     """Run the invariant suites; exit 0 only when every check passes."""
+    from . import verify
     extra_specs = []
     results = []
     if config is not None:

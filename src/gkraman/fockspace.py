@@ -25,6 +25,9 @@ LEVELS = ("g", "e", "i")
 #: Default relative tail mass allowed beyond the truncation cutoff.
 DEFAULT_TAIL_TOL = 1e-12
 
+#: Default least detection probability of a postselected atom.
+DEFAULT_DETECTION_FLOOR = 1e-6
+
 _NORM_FLOOR = 1e-300
 _NORM_CHECK_TOL = 1e-8
 
@@ -41,7 +44,7 @@ def _check_amplitudes(state, rows: tuple[int, ...], shape_error: str, kind: str)
     if not abs(nrm - 1.0) <= _NORM_CHECK_TOL:  # written to fail on NaN too
         if not math.isfinite(nrm):
             raise ValueError(f"{kind} norm {float(nrm)!r} is not finite")
-        raise ValueError(f"{kind} is not normalized (norm = {nrm!r}); use normalize()")
+        raise ValueError(f"{kind} is not normalized (norm = {float(nrm)!r}); use normalize()")
     amps.setflags(write=False)
     object.__setattr__(state, "amplitudes", amps)
 
@@ -108,9 +111,10 @@ class AtomFieldState:
         """Product state (c_g|g> + c_e|e>) (x) field, renormalized."""
         if not math.isfinite(abs(c_g) * abs(c_g) + abs(c_e) * abs(c_e)):
             raise ValueError("atom amplitudes are too large: |c_g|^2 + |c_e|^2 is not finite")
-        # An exact power-of-two rescale: tiny amplitudes cannot underflow in the norm.
+        # Exact power-of-two rescale per component: even subnormal amplitudes survive the norm.
         _, exponent = math.frexp(max(abs(c_g), abs(c_e)))
-        atom = np.array([c_g, c_e, 0.0], dtype=np.complex128) / 2.0 ** exponent
+        atom = np.array([complex(math.ldexp(c.real, -exponent), math.ldexp(c.imag, -exponent))
+                         for c in (complex(c_g), complex(c_e))] + [0.0], dtype=np.complex128)
         return normalize(np.outer(atom, field.amplitudes))
 
 

@@ -8,6 +8,8 @@ reduction; hbar = 1 throughout.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +32,16 @@ class RamanParams:
     delta: float
 
     def __post_init__(self):
-        if not (self.g1 > 0 and self.g2 > 0 and np.isfinite(self.g1 * self.g1 + self.g2 * self.g2)):
+        # Python floats: squares that overflow or underflow warn of nothing
+        g1, g2, delta = float(self.g1), float(self.g2), float(self.delta)
+        if not (g1 > 0 and g2 > 0 and math.isfinite(g1 * g1 + g2 * g2)):
             raise ValueError("coupling constants g1, g2 must be positive with finite g1^2 + g2^2")
-        if not (np.isfinite(self.delta * self.delta) and self.delta != 0):
+        if g1 * g1 + g2 * g2 < sys.float_info.min:
+            raise ValueError(f"couplings g1 = {g1:g}, g2 = {g2:g} make g1^2 + g2^2 underflow")
+        if not (math.isfinite(delta * delta) and delta != 0):
             raise ValueError("detuning must be nonzero with finite delta^2")
+        if delta * delta < sys.float_info.min:
+            raise ValueError(f"detuning delta = {delta:g} makes delta^2 underflow")
 
     @property
     def effective_coupling(self) -> float:

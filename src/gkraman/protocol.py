@@ -21,12 +21,10 @@ import numpy as np
 from .deformation import DeformationSpec
 from .errors import DetectionImprobable
 from .evolution import _effective_coeffs
-from .fockspace import (_FMT, DEFAULT_TAIL_TOL, FieldState, _check_phase, _n_trunc_for,
-                        fidelity, normalize)
+from .fockspace import (_FMT, DEFAULT_DETECTION_FLOOR, DEFAULT_TAIL_TOL, FieldState,
+                        _check_phase, _n_trunc_for, fidelity, normalize)
 from .hamiltonian import RamanParams
 from .states import evolve_free, nonlinear_cs
-
-DEFAULT_DETECTION_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import os
 import subprocess
@@ -10,11 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gkraman
-from gkraman.cli import _SCHEMA, load_scenario, main
+from gkraman.cli import _SCHEMA, ConfigError, load_scenario, main
 
 LAM = 1.0 * 1.0 / 25.0  # g^2 / delta for the protocol configs below
 
@@ -177,6 +178,18 @@ def test_equivalence_tiny_atom_amplitude(tmp_path):
                                np.array(rows["1"], dtype=float), rtol=1e-14, atol=1e-15)
 
 
+def test_equivalence_subnormal_atom_amplitude(tmp_path):
+    # 1e-320 |g> is |g> too; a subnormal amplitude is rescaled without underflow
+    rows = {}
+    for atom_g in ("1", "1e-320"):
+        cfg = _write(tmp_path, "e.cfg", EQUIV_CFG + f"atom_g = {atom_g}\natom_e = 0\n")
+        out = tmp_path / "equiv.csv"
+        assert main(["equivalence", "--config", cfg, "--out", str(out)]) == 0
+        _, rows[atom_g] = _rows(out)
+    np.testing.assert_allclose(np.array(rows["1e-320"], dtype=float),
+                               np.array(rows["1"], dtype=float), rtol=0, atol=1e-15)
+
+
 def test_equivalence_requires_grid(tmp_path):
     cfg = _write(tmp_path, "e.cfg", "spectrum = harmonic\nz_re = 1.0\ng1 = 1\ng2 = 1\n")
     assert main(["equivalence", "--config", cfg]) == 2
@@ -207,15 +220,64 @@ def test_verify_reports_nonphysical_spectrum(tmp_path, capsys):
     assert "FAIL" in out
 
 
-def test_import_leaves_scipy_unloaded():
-    # numpy is the only runtime dependency; scipy is a test-only reference
+def _fresh(code: str):
+    """Run code in a fresh interpreter importing this gkraman; the JSON it prints last."""
     src = str(Path(gkraman.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import sys, gkraman, gkraman.cli; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+#: Prints which of the listed modules are loaded, as JSON.
+_LOADED = "import json, sys; print(json.dumps([m for m in {} if m in sys.modules]))"
+
+
+#: Every submodule of the package, qualified, but for __init__ and __main__.
+_SUBMODULES = sorted(f"gkraman.{p.stem}" for p in Path(gkraman.__file__).parent.glob("*.py")
+                     if not p.stem.startswith("__"))
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; scipy is a test-only reference.
+    # The package loads no submodule by itself, so each is imported here.
+    assert _fresh(f"import {', '.join(_SUBMODULES)}; " + _LOADED.format(["scipy"])) == []
+
+
+def test_import_loads_no_submodule():
+    assert _fresh("import gkraman; " + _LOADED.format(["numpy"] + _SUBMODULES)) == []
+
+
+def test_state_command_loads_only_its_modules(tmp_path):
+    cfg = _write(tmp_path, "s.cfg", "spectrum = squared\nz_re = 0.8\nalpha = 0.3\n")
+    argv = ["state", "--config", cfg, "--out", str(tmp_path / "s.csv")]
+    unused = ["gkraman.evolution", "gkraman.hamiltonian", "gkraman.protocol", "gkraman.verify"]
+    assert _fresh(f"from gkraman import cli; assert cli.main({argv!r}) == 0; "
+                  + _LOADED.format(unused)) == []
+
+
+def test_verify_command_leaves_numpy_random_unloaded():
+    assert _fresh("from gkraman import cli; assert cli.main(['verify']) == 0; "
+                  + _LOADED.format(["numpy.random"])) == []
+
+
+def test_public_names_are_their_home_module_attributes():
+    # resolved through the package first, in a process that has imported no submodule
+    code = ("import importlib, json, gkraman\n"
+            "print(json.dumps([n for n in gkraman.__all__ if getattr(gkraman, n) is not\n"
+            "    getattr(importlib.import_module(gkraman._HOME[n]), n)]))")
+    assert _fresh(code) == []
+    assert len(gkraman.__all__) == 39
+
+
+def test_package_names_follow_their_home_module(monkeypatch):
+    # the package caches no lookup, so a patched home attribute shows through it
+    from gkraman import protocol
+    assert gkraman.run_protocol is protocol.run_protocol
+    patched = object()
+    monkeypatch.setattr(protocol, "run_protocol", patched)
+    assert gkraman.run_protocol is patched
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +299,13 @@ def test_unknown_key_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.cfg", "spectrum = harmonic\nbogus = 1\n")
     assert main(["state", "--config", cfg]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_line_without_equals_sign_is_rejected(tmp_path):
+    cfg = _write(tmp_path, "bad.cfg", "z_re = 1\nspectrum harmonic\n")
+    with pytest.raises(ConfigError, match=r"bad.cfg:2: expected 'key = value', "
+                                          r"got 'spectrum harmonic'"):
+        load_scenario(cfg)
 
 
 def test_bad_value_exit_2(tmp_path):
@@ -316,6 +385,26 @@ def test_overflowing_rabi_frequency_blames_couplings(tmp_path, capsys, command, 
                             "(e_2 = 1e+308) make e_n (g1^2 + g2^2) + delta^2 / 4 overflow\n")
 
 
+@pytest.mark.parametrize("command, base, override, message", [
+    ("equivalence", EQUIV_CFG, "g1 = 1e-200\ng2 = 1e-200",
+     "couplings g1 = 1e-200, g2 = 1e-200 make g1^2 + g2^2 underflow"),
+    ("equivalence", EQUIV_CFG, "deltas = 1e-300",
+     "detuning delta = 1e-300 makes delta^2 underflow"),
+    ("protocol", PROTOCOL_CFG, "g1 = 1e-200\ng2 = 1e-200",
+     "couplings g1 = 1e-200, g2 = 1e-200 make g1^2 + g2^2 underflow"),
+], ids=["equivalence-couplings", "equivalence-detuning", "protocol-couplings"])
+def test_underflowing_squares_exit_2(tmp_path, capsys, command, base, override, message):
+    keys = {line.split("=")[0].strip() for line in override.splitlines()}
+    lines = [line for line in base.splitlines() if line.split("=")[0].strip() not in keys]
+    cfg = _write(tmp_path, "u.cfg", "\n".join(lines + [override]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("bad_line", ["nan", "inf"])
 def test_nonfinite_spectrum_table_exit_2(tmp_path, capsys, bad_line):
     table = _write(tmp_path, "table.txt", f"0\n1\n{bad_line}\n3\n")
@@ -370,8 +459,9 @@ atom_e = 0.6+0.8j
 # ---------------------------------------------------------------------------
 
 _NONFINITE = ("nan", "inf", "-inf", "nanj", "1+infj")
-_REALS = ("0", "-1", "0.5", "1", "25", "1e300", "-1e300", "nan", "inf", "-inf")
-_COMPLEXES = ("0", "-1", "0.6+0.8j", "1e300j", "nan", "inf", "nanj", "1+infj")
+_REALS = ("0", "-1", "0.5", "1", "25", "1e-200", "1e-300", "1e300", "-1e300", "1e308",
+          "nan", "inf", "-inf")
+_COMPLEXES = ("0", "-1", "0.6+0.8j", "1e-320", "1e300j", "nan", "inf", "nanj", "1+infj")
 
 
 def _csv_of(pool):
@@ -415,8 +505,13 @@ def _scenarios(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_scenarios())
+# squares that underflow, and a subnormal atom amplitude, which the draws rarely reach
+@example({**_BASE, "g1": "1e-200", "g2": "1e-200"})
+@example({**_BASE, "deltas": "1e-300"})
+@example({**_BASE, "atom_g": "1e-320", "atom_e": "0"})
 def test_exit_code_contract_on_generated_scenarios(scenario):
-    # never raises; exits 0, 2, 3 or 4; and exits 2 on any non-finite number
+    # never raises; exits 0, 2, 3 or 4; exits 2 on any non-finite number; and
+    # prints no non-finite field when it exits 0
     text = "".join(f"{key} = {value}\n" for key, value in scenario.items())
     nonfinite = any(part.strip() in _NONFINITE
                     for key, value in scenario.items() if key in _NUMERIC
@@ -424,8 +519,11 @@ def test_exit_code_contract_on_generated_scenarios(scenario):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = _write(Path(tmp), "g.cfg", text)
         for command in ("state", "protocol", "equivalence"):
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
                 code = main([command, "--config", cfg])
             assert code in (0, 2, 3, 4), (command, text)
             if nonfinite:
                 assert code == 2, (command, text)
+            if code == 0:
+                fields = out.getvalue().replace("\n", ",").split(",")
+                assert not {"nan", "inf", "-inf"} & set(fields), (command, text)

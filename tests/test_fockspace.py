@@ -62,6 +62,29 @@ def test_norm_checks_reject_nan():
         assert not isinstance(excinfo.value, ZeroVector)
 
 
+def test_normalize_rejects_two_row_array():
+    with pytest.raises(ValueError, match=r"unsupported amplitude shape \(2, 3\)"):
+        normalize(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FieldState(np.ones((2, 2)) / 2.0), "field amplitudes must be a non-empty 1-d"),
+    (lambda: FieldState([]), "field amplitudes must be a non-empty 1-d"),
+    (lambda: AtomFieldState(np.ones((2, 3)) / 6 ** 0.5), r"joint amplitudes must have shape \(3"),
+    (lambda: FieldState([0.6, 0.6]), r"field state is not normalized \(norm = 0\.84"),
+    (lambda: AtomFieldState(np.ones((3, 1))), r"joint state is not normalized \(norm = 1\.73"),
+], ids=["field-2d", "field-empty", "joint-2-rows", "field-norm", "joint-norm"])
+def test_state_amplitude_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_fock_index_outside_basis():
+    for n in (-1, 3):
+        with pytest.raises(ValueError, match=rf"fock index {n} outside basis 0\.\.2"):
+            FieldState.fock(n, 3)
+
+
 def test_normalize_joint_shape_dispatch():
     v = np.zeros((3, 4), dtype=complex)
     v[1, 2] = 2.0
